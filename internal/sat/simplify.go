@@ -31,7 +31,7 @@ func (s *Solver) Simplify() bool {
 	s.learnts = s.cleanDB(s.learnts)
 	// Counters changed outside a Solve call: deliver them to the telemetry
 	// hook now rather than at the next solve boundary.
-	s.flushHook()
+	s.FlushHook()
 	return true
 }
 

@@ -209,13 +209,16 @@ func (s *Solver) hookConflict(lbd int32, size int) {
 			every = 256
 		}
 		if s.Stats.Conflicts%every == 0 {
-			s.flushHook()
+			s.FlushHook()
 		}
 	}
 }
 
-// flushHook delivers the counter growth since the previous sample.
-func (s *Solver) flushHook() {
+// FlushHook delivers the counter growth since the previous sample. Solve
+// and Simplify flush on return; call it after other work outside a solve
+// (clauses added and propagated at level 0) when no solve follows, so
+// published totals equal Stats. Without a hook it does nothing.
+func (s *Solver) FlushHook() {
 	h := s.hook
 	if h == nil || h.OnSample == nil {
 		return
@@ -846,7 +849,7 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 	if s.hook != nil {
 		// Flush the residual sample so published totals match Stats exactly
 		// at every solve boundary, however short the solve.
-		s.flushHook()
+		s.FlushHook()
 	}
 	return status
 }

@@ -86,6 +86,9 @@ func installSolverMetrics(h *metrics.Handle, obs SearchObserver, s *sat.Solver, 
 	hook := &sat.Hook{}
 	if h != nil {
 		inst := strconv.Itoa(instance)
+		if instance == checkInstance {
+			inst = "check"
+		}
 		dec := h.Counter(metrics.MetricSatDecisions, "instance", inst)
 		confl := h.Counter(metrics.MetricSatConflicts, "instance", inst)
 		prop := h.Counter(metrics.MetricSatPropagations, "instance", inst)

@@ -64,15 +64,6 @@ type portfolio struct {
 	simplify bool
 }
 
-// encodeCopy instantiates one circuit copy on instance in, through the
-// shared AIG when armed and the direct netlist walk otherwise.
-func (p *portfolio) encodeCopy(in *pfInstance, lits []cnf.Lit) []cnf.Lit {
-	if p.aig != nil {
-		return in.e.EncodeAIG(p.aig, lits)
-	}
-	return in.e.EncodeComb(p.l.View, lits)
-}
-
 // emitted snapshots instance 0's problem size (variables; clauses plus
 // native XOR rows) for encode-growth accounting.
 func (p *portfolio) emitted() (uint64, uint64) {
@@ -103,8 +94,8 @@ func newPortfolio(l *Locked, opts Options, mh *metrics.Handle) (*portfolio, erro
 			k1: e.FreshVec(len(l.KeyIdx)),
 			k2: e.FreshVec(len(l.KeyIdx)),
 		}
-		y1 := p.encodeCopy(in, l.assemble(e, in.x, in.k1))
-		y2 := p.encodeCopy(in, l.assemble(e, in.x, in.k2))
+		y1 := l.encodeCopy(e, p.aig, in.x, in.k1)
+		y2 := l.encodeCopy(e, p.aig, in.x, in.k2)
 		in.miter = e.Miter(y1, y2)
 		for _, ks := range [][]cnf.Lit{in.k1, in.k2} {
 			for _, kl := range ks {
@@ -169,8 +160,8 @@ func (p *portfolio) replayDIP(dip, resp []bool) (dVars, dClauses uint64) {
 	ev0, ec0 := p.emitted()
 	for _, in := range p.insts {
 		cx := in.e.ConstVec(dip)
-		in.e.AssertEqualConst(p.encodeCopy(in, p.l.assemble(in.e, cx, in.k1)), resp)
-		in.e.AssertEqualConst(p.encodeCopy(in, p.l.assemble(in.e, cx, in.k2)), resp)
+		in.e.AssertEqualConst(p.l.encodeCopy(in.e, p.aig, cx, in.k1), resp)
+		in.e.AssertEqualConst(p.l.encodeCopy(in.e, p.aig, cx, in.k2), resp)
 	}
 	ev1, ec1 := p.emitted()
 	return ev1 - ev0, ec1 - ec0
@@ -181,15 +172,7 @@ func (p *portfolio) replayDIP(dip, resp []bool) (dVars, dClauses uint64) {
 func (p *portfolio) block(k []bool) bool {
 	ok := true
 	for _, in := range p.insts {
-		clause := make([]cnf.Lit, len(in.k1))
-		for i, l := range in.k1 {
-			if k[i] {
-				clause[i] = l.Not()
-			} else {
-				clause[i] = l
-			}
-		}
-		if !in.s.AddClause(clause...) {
+		if !in.s.AddClause(blockingClause(in.k1, k)...) {
 			ok = false
 		}
 	}
@@ -201,17 +184,7 @@ func (p *portfolio) block(k []bool) bool {
 func (p *portfolio) statsSum() sat.Stats {
 	var sum sat.Stats
 	for _, in := range p.insts {
-		sum.Decisions += in.s.Stats.Decisions
-		sum.Propagations += in.s.Stats.Propagations
-		sum.Conflicts += in.s.Stats.Conflicts
-		sum.Restarts += in.s.Stats.Restarts
-		sum.Learnt += in.s.Stats.Learnt
-		sum.Removed += in.s.Stats.Removed
-		sum.XorPropagations += in.s.Stats.XorPropagations
-		sum.XorConflicts += in.s.Stats.XorConflicts
-		sum.SimplifyCalls += in.s.Stats.SimplifyCalls
-		sum.SimplifyRemoved += in.s.Stats.SimplifyRemoved
-		sum.SimplifyStrengthened += in.s.Stats.SimplifyStrengthened
+		sum = addStats(sum, in.s.Stats)
 	}
 	return sum
 }
@@ -241,12 +214,19 @@ func runPortfolio(ctx context.Context, l *Locked, o Oracle, opts Options) (*Resu
 	res := &Result{}
 	res.EncodeVars, res.EncodeClauses = p.emitted()
 	am.observeEncode(res.EncodeVars, res.EncodeClauses)
+	// One consistency checker serves the whole portfolio: it sees each
+	// winning DIP once, after every instance has asserted it.
+	chk := newKeyChecker(l, p.aig, opts, mh, am)
 	finish := func(reason StopReason) *Result {
 		if reason != StopNone {
 			res.Stopped = true
 			res.StopReason = reason
 		}
-		res.SolverStats = p.statsSum()
+		for _, in := range p.insts {
+			in.s.FlushHook()
+		}
+		chk.s.FlushHook()
+		res.SolverStats = addStats(p.statsSum(), chk.s.Stats)
 		for _, in := range p.insts {
 			res.InstanceStats = append(res.InstanceStats, in.s.Stats)
 		}
@@ -264,10 +244,12 @@ func runPortfolio(ctx context.Context, l *Locked, o Oracle, opts Options) (*Resu
 		loop.Add("oracle_queries", uint64(res.Queries))
 		loop.Add("encode_vars", loopEncV)
 		loop.Add("encode_clauses", loopEncC)
+		chk.addCounters(loop)
 		loop.End()
 	}
 	stop := StopNone
 	insCursor := 0
+	var unique []bool
 dipLoop:
 	for {
 		if err := ctx.Err(); err != nil {
@@ -276,6 +258,11 @@ dipLoop:
 		}
 		if opts.MaxIterations > 0 && res.Iterations >= opts.MaxIterations {
 			stop = StopIterations
+			break
+		}
+		if unique != nil {
+			res.Key = unique
+			res.Converged = true
 			break
 		}
 		var solveT0, solveT1 time.Time
@@ -349,19 +336,17 @@ dipLoop:
 			if opts.DumpCNF != nil {
 				opts.DumpCNF(res.Iterations, w.s.WriteDimacs)
 			}
+			unique = chk.observe(ctx, dip, resp)
 		}
 	}
 	endLoop()
 	if stop != StopNone && stop != StopIterations {
 		return finish(stop), nil
 	}
-	if res.Analytic {
-		// Rank-k short-circuit (see the sequential engine): the key is
-		// unique, so extraction and enumeration races are skipped.
-		if opts.EnumerateLimit > 0 {
-			res.Candidates = [][]bool{append([]bool(nil), res.Key...)}
-			res.CandidatesExact = true
-		}
+	if res.Key != nil {
+		// Rank-k short-circuit or proven uniqueness (see the sequential
+		// engine): extraction and enumeration races are skipped.
+		settleUnique(tr, res, opts.EnumerateLimit)
 		return finish(stop), nil
 	}
 

@@ -7,7 +7,9 @@
 // oracle's response for that DIP is asserted on both key copies, pruning
 // every key that disagrees with the oracle. When the miter goes UNSAT, any
 // key satisfying the accumulated I/O constraints is functionally correct
-// on all inputs.
+// on all inputs. A separate key-consistency solver (check.go) proves the
+// common case, a single consistent key, after each DIP, and ends the loop
+// there without the miter's UNSAT proof.
 //
 // DynUnlock (internal/core) feeds this engine a combinational model of a
 // dynamically scan-locked circuit whose key inputs are the LFSR seed bits.
@@ -115,8 +117,9 @@ type Options struct {
 	DumpCNF func(iteration int, dump func(w io.Writer) error)
 	// OnDIP, when non-nil, observes every completed DIP iteration: the
 	// iteration number (1-based), the distinguishing input, the oracle's
-	// response, a snapshot of the solver counters after the iteration
-	// (summed over portfolio instances), and the wall time of the SAT call
+	// response, a snapshot of the miter-solver counters after the iteration
+	// (summed over portfolio instances; the key-consistency checker's work
+	// is not included), and the wall time of the SAT call
 	// that produced the DIP. The flight recorder (internal/flight) uses it
 	// to persist dips.jsonl. The dip and resp slices are only valid for the
 	// duration of the call. nil leaves the hot loop free of timestamps and
@@ -186,8 +189,9 @@ type DIPObserver func(iteration int, dip, resp []bool, stats sat.Stats, solveTim
 
 // SearchObserver receives solver search telemetry per instance (see
 // Options.Search): sampled learnt-clause LBD/size observations and every
-// restart with its segment conflict count. Implementations must tolerate
-// concurrent calls when the attack runs a portfolio.
+// restart with its segment conflict count. The key-consistency checker
+// reports as instance -1. Implementations must tolerate concurrent calls
+// when the attack runs a portfolio.
 type SearchObserver interface {
 	SearchLearnt(instance int, lbd int32, size int)
 	SearchRestart(instance int, conflicts uint64)
@@ -259,8 +263,10 @@ type Result struct {
 	// Queries is the number of oracle queries issued.
 	Queries int
 	// Converged is true when the miter became UNSAT (proof of key
-	// correctness on all inputs), false when an iteration bound stopped
-	// the loop early.
+	// correctness on all inputs) or the key-consistency checker proved that
+	// a single key fits every oracle response, which makes the next miter
+	// solve UNSAT (check.go); false when an iteration bound stopped the loop
+	// early.
 	Converged bool
 	// Analytic is true when the insight short-circuit ended the attack:
 	// the certified GF(2) system reached full rank, the key was derived by
@@ -277,11 +283,13 @@ type Result struct {
 	// pipeline's structural compaction.
 	EncodeVars    uint64
 	EncodeClauses uint64
-	// SolverStats snapshots the SAT solver counters. Under a portfolio it
-	// is the sum over all instances (total work, not critical-path work).
+	// SolverStats snapshots the SAT solver counters: the sum over every
+	// miter instance and the key-consistency checker (total work, not
+	// critical-path work).
 	SolverStats sat.Stats
-	// InstanceStats holds per-instance solver counters: one entry for the
-	// sequential engine, Options.Portfolio entries for a portfolio run.
+	// InstanceStats holds per-instance miter-solver counters: one entry for
+	// the sequential engine, Options.Portfolio entries for a portfolio run.
+	// The checker's work is in SolverStats only.
 	InstanceStats []sat.Stats
 	// InstanceWins counts, per instance, the races that instance finished
 	// first (every SAT call is one race; sequential runs win them all).
@@ -344,12 +352,6 @@ func RunCtx(ctx context.Context, l *Locked, o Oracle, opts Options) (*Result, er
 		}
 		enc.Add("aig_nodes", uint64(g.NumNodes()))
 	}
-	encodeCopy := func(in []cnf.Lit) []cnf.Lit {
-		if g != nil {
-			return e.EncodeAIG(g, in)
-		}
-		return e.EncodeComb(l.View, in)
-	}
 	emitted := func() (uint64, uint64) {
 		return uint64(s.NumVars()), uint64(s.NumClauses() + s.NumXors())
 	}
@@ -358,8 +360,8 @@ func RunCtx(ctx context.Context, l *Locked, o Oracle, opts Options) (*Result, er
 	k1 := e.FreshVec(len(l.KeyIdx))
 	k2 := e.FreshVec(len(l.KeyIdx))
 
-	y1 := encodeCopy(l.assemble(e, x, k1))
-	y2 := encodeCopy(l.assemble(e, x, k2))
+	y1 := l.encodeCopy(e, g, x, k1)
+	y2 := l.encodeCopy(e, g, x, k2)
 	miter := e.Miter(y1, y2)
 
 	// Branch on key variables first: the miter search closes fastest when
@@ -375,13 +377,18 @@ func RunCtx(ctx context.Context, l *Locked, o Oracle, opts Options) (*Result, er
 	enc.Add("vars", uint64(s.NumVars()))
 	enc.Add("clauses", uint64(s.NumClauses()))
 	enc.End()
+	chk := newKeyChecker(l, g, opts, mh, am)
 
 	finish := func(reason StopReason, solves int) *Result {
 		if reason != StopNone {
 			res.Stopped = true
 			res.StopReason = reason
 		}
-		res.SolverStats = s.Stats
+		// Level-0 work after the last solve (the final DIP's copies, the
+		// checker's retired literal) reaches the metrics hook only here.
+		s.FlushHook()
+		chk.s.FlushHook()
+		res.SolverStats = addStats(s.Stats, chk.s.Stats)
 		res.InstanceStats = []sat.Stats{s.Stats}
 		res.InstanceWins = []int{solves}
 		res.Elapsed = time.Since(start)
@@ -398,10 +405,13 @@ func RunCtx(ctx context.Context, l *Locked, o Oracle, opts Options) (*Result, er
 		loop.Add("oracle_queries", uint64(res.Queries))
 		loop.Add("encode_vars", loopEncV)
 		loop.Add("encode_clauses", loopEncC)
+		chk.addCounters(loop)
 		loop.End()
 	}
 	stop := StopNone
 	insCursor := 0
+	// unique is the key the checker proved to be the only consistent one.
+	var unique []bool
 dipLoop:
 	for {
 		if err := ctx.Err(); err != nil {
@@ -410,6 +420,12 @@ dipLoop:
 		}
 		if opts.MaxIterations > 0 && res.Iterations >= opts.MaxIterations {
 			stop = StopIterations
+			break
+		}
+		if unique != nil {
+			// The miter solve this replaces would be UNSAT.
+			res.Key = unique
+			res.Converged = true
 			break
 		}
 		solves++
@@ -448,8 +464,8 @@ dipLoop:
 			}
 			cx := e.ConstVec(dip)
 			ev0, ec0 := emitted()
-			e.AssertEqualConst(encodeCopy(l.assemble(e, cx, k1)), resp)
-			e.AssertEqualConst(encodeCopy(l.assemble(e, cx, k2)), resp)
+			e.AssertEqualConst(l.encodeCopy(e, g, cx, k1), resp)
+			e.AssertEqualConst(l.encodeCopy(e, g, cx, k2), resp)
 			ev1, ec1 := emitted()
 			res.EncodeVars += ev1 - ev0
 			res.EncodeClauses += ec1 - ec0
@@ -486,20 +502,19 @@ dipLoop:
 			if opts.DumpCNF != nil {
 				opts.DumpCNF(res.Iterations, s.WriteDimacs)
 			}
+			unique = chk.observe(ctx, dip, resp)
 		}
 	}
 	endLoop()
 	if stop != StopNone && stop != StopIterations {
 		return finish(stop, solves), nil
 	}
-	if res.Analytic {
-		// Rank-k short-circuit: the certified system determines the key
-		// uniquely, so the equivalence class is exactly {Key} and no
-		// extraction or enumeration SAT calls are needed.
-		if opts.EnumerateLimit > 0 {
-			res.Candidates = [][]bool{append([]bool(nil), res.Key...)}
-			res.CandidatesExact = true
-		}
+	if res.Key != nil {
+		// Rank-k short-circuit or proven uniqueness ended the loop: the
+		// equivalence class is exactly {Key} and no extraction or
+		// enumeration SAT calls are needed. (An iteration bound that fired
+		// first leaves Key nil and takes the extraction path below.)
+		settleUnique(tr, res, opts.EnumerateLimit)
 		return finish(stop, solves), nil
 	}
 
@@ -533,6 +548,22 @@ dipLoop:
 		enumSp.End()
 	}
 	return finish(stop, solves), nil
+}
+
+// settleUnique completes a Result whose Key is the only consistent key:
+// the equivalence class is exactly {Key}. The extract and enumerate stages
+// still emit their spans, with no SAT call inside, so stage tables keep
+// every Fig. 3 row.
+func settleUnique(tr *trace.Tracer, res *Result, limit int) {
+	tr.Start("extract").End()
+	if limit <= 0 {
+		return
+	}
+	res.Candidates = [][]bool{append([]bool(nil), res.Key...)}
+	res.CandidatesExact = true
+	sp := tr.Start("enumerate")
+	sp.Add("candidates", 1)
+	sp.End()
 }
 
 // addStatsDelta records the solver-counter growth between two snapshots on
@@ -586,6 +617,31 @@ func (l *Locked) assemble(e *encode.Encoder, in, key []cnf.Lit) []cnf.Lit {
 	return full
 }
 
+// encodeCopy instantiates one circuit copy on e with attacker inputs in and
+// key literals key: through the attack's shared AIG arena when g is
+// non-nil, by the direct netlist walk otherwise.
+func (l *Locked) encodeCopy(e *encode.Encoder, g *aig.Graph, in, key []cnf.Lit) []cnf.Lit {
+	full := l.assemble(e, in, key)
+	if g != nil {
+		return e.EncodeAIG(g, full)
+	}
+	return e.EncodeComb(l.View, full)
+}
+
+// blockingClause returns the clause that excludes the assignment k of the
+// key literals keyLits.
+func blockingClause(keyLits []cnf.Lit, k []bool) []cnf.Lit {
+	clause := make([]cnf.Lit, len(keyLits))
+	for i, l := range keyLits {
+		if k[i] {
+			clause[i] = l.Not()
+		} else {
+			clause[i] = l
+		}
+	}
+	return clause
+}
+
 // enumerate lists satisfying assignments of the key literals via blocking
 // clauses, starting from first. It also returns the number of Solve calls
 // it issued (for win accounting) and, when a context or budget bound cut
@@ -595,15 +651,7 @@ func enumerate(ctx context.Context, s *sat.Solver, e *encode.Encoder, keyLits []
 	candidates := [][]bool{append([]bool(nil), first...)}
 	solves := 0
 	block := func(k []bool) bool {
-		clause := make([]cnf.Lit, len(keyLits))
-		for i, l := range keyLits {
-			if k[i] {
-				clause[i] = l.Not()
-			} else {
-				clause[i] = l
-			}
-		}
-		return s.AddClause(clause...)
+		return s.AddClause(blockingClause(keyLits, k)...)
 	}
 	if !block(first) {
 		return candidates, true, solves, StopNone
