@@ -156,6 +156,11 @@ func (f *Formula) WriteDimacs(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxDimacsVar is the largest DIMACS variable a Lit can hold: the 0-based
+// variable index, shifted left once for the sign bit, must fit in an int32.
+// It bounds both literals and the problem line's variable count.
+const maxDimacsVar = 1 << 30
+
 // ParseDimacs reads a DIMACS CNF file. Comment lines (c …) and the problem
 // line are handled; %-terminated files (some SATLIB archives) are accepted.
 // Lines starting with "x" carry cryptominisat-style XOR clauses ("x 1 2 0",
@@ -185,7 +190,7 @@ func ParseDimacs(r io.Reader) (*Formula, error) {
 			var err1, err2 error
 			declaredVars, err1 = strconv.Atoi(fields[2])
 			declaredClauses, err2 = strconv.Atoi(fields[3])
-			if err1 != nil || err2 != nil {
+			if err1 != nil || err2 != nil || declaredVars < 0 || declaredVars > maxDimacsVar {
 				return nil, fmt.Errorf("dimacs:%d: bad problem line %q", lineNo, line)
 			}
 			continue
@@ -202,7 +207,7 @@ func ParseDimacs(r io.Reader) (*Formula, error) {
 		}
 		for _, tok := range strings.Fields(line) {
 			v, err := strconv.Atoi(tok)
-			if err != nil {
+			if err != nil || v > maxDimacsVar || v < -maxDimacsVar {
 				return nil, fmt.Errorf("dimacs:%d: bad literal %q", lineNo, tok)
 			}
 			if v == 0 {

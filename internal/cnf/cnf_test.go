@@ -133,6 +133,9 @@ func TestParseDimacsErrors(t *testing.T) {
 		"p cnf x 2\n1 0\n",
 		"p dnf 1 1\n1 0\n",
 		"p cnf 1 1\none 0\n",
+		"p cnf 3000000000 0\n",
+		"p cnf -1 0\n",
+		"1073741825 0\n",
 	} {
 		if _, err := ParseDimacs(strings.NewReader(src)); err == nil {
 			t.Errorf("want error for %q", src)

@@ -68,7 +68,8 @@ type Options struct {
 	// portfolio instance).
 	ConflictBudget int64
 	// Portfolio is the number of diversified solver instances racing each
-	// SAT call (<= 1 = sequential; see satattack portfolio engine).
+	// SAT call (<= 1 runs one instance, the sequential attack; see
+	// satattack.Options.Portfolio).
 	Portfolio int
 	// VerifyProbes is the number of random probe sessions used to check
 	// each recovered seed against the chip (attacker-side validation).
@@ -137,7 +138,7 @@ type Result struct {
 	// instances when Options.Portfolio > 1).
 	SolverStats sat.Stats
 	// InstanceStats and InstanceWins report per-solver-instance counters
-	// and race wins (one entry for sequential runs).
+	// and race wins (one entry per instance; see satattack.Result).
 	InstanceStats []sat.Stats
 	InstanceWins  []int
 	// Stopped is true when a deadline, cancellation, or budget bounded the
@@ -230,18 +231,7 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 	defer chip.SetSessionHook(prevHook)
 
 	adapter := NewChipOracle(chip, opts.TestKey)
-	saOpts := satattack.Options{
-		Portfolio:      opts.Portfolio,
-		MaxIterations:  opts.MaxIterations,
-		EnumerateLimit: opts.EnumerateLimit,
-		ConflictBudget: opts.ConflictBudget,
-		Log:            opts.Log,
-		OnDIP:          opts.OnDIP,
-		Search:         opts.Search,
-		NativeXor:      opts.NativeXor,
-		AIG:            opts.AIG,
-		Simplify:       opts.Simplify,
-	}
+	saOpts := opts.engineOptions()
 
 	res := &Result{Mode: opts.Mode}
 	switch opts.Mode {
@@ -268,22 +258,9 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Iterations = saRes.Iterations
-		res.Converged = saRes.Converged
-		res.Analytic = saRes.Analytic
-		res.Exact = saRes.CandidatesExact
-		res.SolverStats = saRes.SolverStats
-		res.InstanceStats = saRes.InstanceStats
-		res.InstanceWins = saRes.InstanceWins
-		res.Stopped = saRes.Stopped
-		res.StopReason = saRes.StopReason
-		res.EncodeVars = saRes.EncodeVars
-		res.EncodeClauses = saRes.EncodeClauses
-		for _, c := range saRes.Candidates {
+		res.setEngine(saRes)
+		for _, c := range engineKeys(saRes) {
 			res.SeedCandidates = append(res.SeedCandidates, gf2.FromBools(c))
-		}
-		if len(res.SeedCandidates) == 0 && saRes.Key != nil {
-			res.SeedCandidates = []gf2.Vec{gf2.FromBools(saRes.Key)}
 		}
 
 	default: // ModeLinear
@@ -312,35 +289,8 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Iterations = saRes.Iterations
-		res.Converged = saRes.Converged
-		res.Analytic = saRes.Analytic
-		res.SolverStats = saRes.SolverStats
-		res.InstanceStats = saRes.InstanceStats
-		res.InstanceWins = saRes.InstanceWins
-		res.Stopped = saRes.Stopped
-		res.StopReason = saRes.StopReason
-		res.EncodeVars = saRes.EncodeVars
-		res.EncodeClauses = saRes.EncodeClauses
-		masks := saRes.Candidates
-		if len(masks) == 0 && saRes.Key != nil {
-			masks = [][]bool{saRes.Key}
-		}
-		res.Exact = saRes.CandidatesExact
-		refine := tr.Start("refine")
-		members := make([]gf2.Vec, len(masks))
-		for i, mk := range masks {
-			members[i] = mm.MaskVector(mk)
-		}
-		seeds := mm.SeedsForMaskCoset(members, opts.EnumerateLimit+1)
-		if len(seeds) > opts.EnumerateLimit {
-			seeds = seeds[:opts.EnumerateLimit]
-			res.Exact = false
-		}
-		res.SeedCandidates = seeds
-		refine.Add("mask_candidates", uint64(len(masks)))
-		refine.Add("seed_candidates", uint64(len(seeds)))
-		refine.End()
+		res.setEngine(saRes)
+		res.refine(tr, mm, mm.MaskVector, engineKeys(saRes), opts.EnumerateLimit)
 	}
 
 	res.Queries = adapter.Sessions
@@ -393,6 +343,69 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 		"elapsed_ms":      res.Elapsed.Milliseconds(),
 	}})
 	return res, nil
+}
+
+// engineOptions builds the satattack options every core attack shares.
+// Insight is left unset: each caller translates the seed-space source into
+// its own key space, or ignores it.
+func (opts Options) engineOptions() satattack.Options {
+	return satattack.Options{
+		Portfolio:      opts.Portfolio,
+		MaxIterations:  opts.MaxIterations,
+		EnumerateLimit: opts.EnumerateLimit,
+		ConflictBudget: opts.ConflictBudget,
+		Log:            opts.Log,
+		OnDIP:          opts.OnDIP,
+		Search:         opts.Search,
+		NativeXor:      opts.NativeXor,
+		AIG:            opts.AIG,
+		Simplify:       opts.Simplify,
+	}
+}
+
+// setEngine copies the engine's outcome and counters into res.
+func (res *Result) setEngine(sa *satattack.Result) {
+	res.Iterations = sa.Iterations
+	res.Converged = sa.Converged
+	res.Analytic = sa.Analytic
+	res.Exact = sa.CandidatesExact
+	res.SolverStats = sa.SolverStats
+	res.InstanceStats = sa.InstanceStats
+	res.InstanceWins = sa.InstanceWins
+	res.Stopped = sa.Stopped
+	res.StopReason = sa.StopReason
+	res.EncodeVars = sa.EncodeVars
+	res.EncodeClauses = sa.EncodeClauses
+}
+
+// engineKeys returns the engine's recovered keys: the enumerated
+// candidates, or the single extracted key when none were enumerated.
+func engineKeys(sa *satattack.Result) [][]bool {
+	if len(sa.Candidates) == 0 && sa.Key != nil {
+		return [][]bool{sa.Key}
+	}
+	return sa.Candidates
+}
+
+// refine maps recovered mask keys to seed candidates (the "refine" stage):
+// maskVector expands each key into its (u‖v) vector, and the seeds are
+// those whose single-capture masks [A;B]·s lie in the coset the keys span.
+// More than limit seeds truncates the set and clears Exact.
+func (res *Result) refine(tr *trace.Tracer, mm *MaskModel, maskVector func([]bool) gf2.Vec, masks [][]bool, limit int) {
+	sp := tr.Start("refine")
+	members := make([]gf2.Vec, len(masks))
+	for i, mk := range masks {
+		members[i] = maskVector(mk)
+	}
+	seeds := mm.SeedsForMaskCoset(members, limit+1)
+	if len(seeds) > limit {
+		seeds = seeds[:limit]
+		res.Exact = false
+	}
+	res.SeedCandidates = seeds
+	sp.Add("mask_candidates", uint64(len(masks)))
+	sp.Add("seed_candidates", uint64(len(seeds)))
+	sp.End()
 }
 
 // Verifier replays scan sessions in closed form for a hypothesized seed —

@@ -229,7 +229,10 @@ func AttackMulti(chip Chip, captures int, opts Options) (*Result, error) {
 }
 
 // AttackMultiCtx is AttackMulti with cancellation and tracing, with the
-// same partial-result semantics as AttackCtx.
+// same partial-result semantics as AttackCtx. The engine options
+// (Portfolio, NativeXor, AIG, Simplify, …) apply as in AttackCtx, but
+// opts.Insight is ignored: its rows address seed bits, while this attack's
+// key vector is the multi-capture mask, which no translation here maps to.
 func AttackMultiCtx(ctx context.Context, chip Chip, captures int, opts Options) (*Result, error) {
 	if captures < 2 {
 		return AttackCtx(ctx, chip, opts)
@@ -252,53 +255,17 @@ func AttackMultiCtx(ctx context.Context, chip Chip, captures int, opts Options) 
 		opts.TestKey = make([]bool, d.Config.KeyBits)
 	}
 	adapter := &multiChipOracle{chip: chip, testKey: opts.TestKey, captures: captures}
-	saRes, err := satattack.RunCtx(ctx, mm.Locked, adapter, satattack.Options{
-		Portfolio:      opts.Portfolio,
-		MaxIterations:  opts.MaxIterations,
-		EnumerateLimit: opts.EnumerateLimit,
-		ConflictBudget: opts.ConflictBudget,
-		Log:            opts.Log,
-		OnDIP:          opts.OnDIP,
-		Search:         opts.Search,
-	})
+	saRes, err := satattack.RunCtx(ctx, mm.Locked, adapter, opts.engineOptions())
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Mode:       ModeLinear,
-		Iterations: saRes.Iterations,
-		Queries:    adapter.sessions,
-		Converged:  saRes.Converged,
-		Exact:      saRes.CandidatesExact,
-		Stopped:    saRes.Stopped,
-		StopReason: saRes.StopReason,
-	}
+	res := &Result{Mode: ModeLinear, Queries: adapter.sessions}
+	res.setEngine(saRes)
 	stacked := gf2.VStack(mm.A, mm.B)
 	res.Rank = gf2.Rank(stacked)
 	res.PredictedLog2 = d.Config.KeyBits - res.Rank
-	res.SolverStats = saRes.SolverStats
-	res.InstanceStats = saRes.InstanceStats
-	res.InstanceWins = saRes.InstanceWins
-
-	masks := saRes.Candidates
-	if len(masks) == 0 && saRes.Key != nil {
-		masks = [][]bool{saRes.Key}
-	}
-	refine := tr.Start("refine")
-	members := make([]gf2.Vec, len(masks))
-	for i, mk := range masks {
-		members[i] = mm.MaskVector(mk)
-	}
 	single := &MaskModel{Design: d, A: mm.A, B: mm.B}
-	seeds := single.SeedsForMaskCoset(members, opts.EnumerateLimit+1)
-	if len(seeds) > opts.EnumerateLimit {
-		seeds = seeds[:opts.EnumerateLimit]
-		res.Exact = false
-	}
-	res.SeedCandidates = seeds
-	refine.Add("mask_candidates", uint64(len(masks)))
-	refine.Add("seed_candidates", uint64(len(seeds)))
-	refine.End()
-	res.Verified = len(seeds) > 0 // probe verification is the caller's via Verifier if needed
+	res.refine(tr, single, mm.MaskVector, engineKeys(saRes), opts.EnumerateLimit)
+	res.Verified = len(res.SeedCandidates) > 0 // probe verification is the caller's via Verifier if needed
 	return res, nil
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"dynunlock/internal/gf2"
@@ -91,6 +93,48 @@ func TestAttackMultiRecoversSeed(t *testing.T) {
 	if !ContainsSeed(res1.SeedCandidates, chip.SecretSeed()) {
 		t.Fatal("fallback failed")
 	}
+}
+
+// The encode pipeline options reach the multi-capture attack: with
+// NativeXor, AIG and Simplify on, the seed-candidate set is the same as on
+// the direct-encode path, and the compacted encoding emits fewer clauses.
+func TestAttackMultiPipelineOptions(t *testing.T) {
+	for _, cfg := range []struct {
+		ffs, keyBits int
+		circuit      int64
+	}{{9, 5, 61}, {4, 10, 100}, {6, 8, 7}} {
+		_, chip := lockedChip(t, cfg.ffs, cfg.keyBits, scan.PerCycle, cfg.circuit, cfg.circuit+1)
+		plain, err := AttackMulti(chip, 2, Options{EnumerateLimit: 2048})
+		if err != nil {
+			t.Fatal(err)
+		}
+		piped, err := AttackMulti(chip, 2, Options{EnumerateLimit: 2048, NativeXor: true, AIG: true, Simplify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plain.Exact || !piped.Exact {
+			t.Fatalf("%+v: exact %v/%v", cfg, plain.Exact, piped.Exact)
+		}
+		a, b := seedStrings(plain.SeedCandidates), seedStrings(piped.SeedCandidates)
+		if strings.Join(a, ",") != strings.Join(b, ",") {
+			t.Fatalf("%+v: candidate sets differ: %v vs %v", cfg, a, b)
+		}
+		if !ContainsSeed(piped.SeedCandidates, chip.SecretSeed()) {
+			t.Fatalf("%+v: secret seed lost", cfg)
+		}
+		if piped.EncodeClauses == 0 || piped.EncodeClauses >= plain.EncodeClauses {
+			t.Fatalf("%+v: encode clauses %d with the pipeline, %d without", cfg, piped.EncodeClauses, plain.EncodeClauses)
+		}
+	}
+}
+
+func seedStrings(seeds []gf2.Vec) []string {
+	out := make([]string, len(seeds))
+	for i, s := range seeds {
+		out[i] = s.String()
+	}
+	sort.Strings(out)
+	return out
 }
 
 // The paper's refinement claim: when the single-capture masks are rank

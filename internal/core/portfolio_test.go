@@ -11,10 +11,10 @@ import (
 	"dynunlock/internal/scan"
 )
 
-// The portfolio engine must recover exactly the sequential engine's seed
-// equivalence class on the paper's s208 walkthrough, for every portfolio
-// size. The chip is re-fabricated per run so each engine sees a fresh
-// oracle with identical secrets.
+// Every portfolio width must recover exactly the one-instance attack's seed
+// equivalence class on the paper's s208 walkthrough. The chip is
+// re-fabricated per run so each run sees a fresh oracle with identical
+// secrets.
 func TestS208WalkthroughPortfolioMatchesSequential(t *testing.T) {
 	run := func(portfolio int) []string {
 		n := bench.S208F()

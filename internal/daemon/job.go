@@ -364,7 +364,7 @@ func (d *Daemon) runJob(j *Job) {
 	cfg.Stream = jobBus
 
 	// Resume: chain the source bundle's transcript prefix in front of
-	// each trial's live chip. The sequential engine re-asks the recorded
+	// each trial's live chip. A one-instance attack re-asks the recorded
 	// queries verbatim, so the replayed prefix rebuilds the interrupted
 	// solver state and the live chip only answers what the dead job
 	// never got to ask. The re-recording recorder sits outside the

@@ -5,16 +5,20 @@ import (
 	"testing"
 )
 
-// Bundles recorded before exact early termination existed still replay
-// bit-identically: the key-consistency checker never changes the DIP
-// sequence, the candidate set or any other deterministic result column.
-// The set covers the default pipeline at paper scale (128-bit s5378 and
-// s13207) and the legacy direct-encode path (table2_parallel1: no AIG, no
-// inprocessing, pure CNF).
+// Committed bundles replay bit-identically: neither the key-consistency
+// checker nor the one-instance attack engine changes the DIP sequence, the
+// candidate set or any other deterministic result column of a recording.
+// The set covers every committed pipeline variant: the default pipeline at
+// paper scale (128-bit s5378 and s13207), the insight feedback loop with its
+// analytic short-circuit (affine_xor), native XOR rows on the direct-encode
+// path (table2_parallel1_xor), and the legacy direct-encode path
+// (table2_parallel1: no AIG, no inprocessing, pure CNF).
 func TestCommittedBundlesReplayIdentically(t *testing.T) {
 	for _, dir := range []string{
 		"../../bench/bundles/paper128/s5378",
 		"../../bench/bundles/paper128/s13207",
+		"../../bench/bundles/affine_xor",
+		"../../bench/bundles/table2_parallel1_xor/table2_s5378",
 		"../../bench/bundles/table2_parallel1/table2_s5378",
 	} {
 		b, err := Open(dir)

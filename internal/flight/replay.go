@@ -27,7 +27,7 @@ import (
 // attack can wind down.
 //
 // Bit-identical replay is guaranteed for sequentially recorded bundles
-// (portfolio 1): the sequential engine is deterministic, so the replayed
+// (portfolio 1): a one-instance attack is deterministic, so the replayed
 // attack issues exactly the recorded queries and reproduces the recorded
 // result. Portfolio-recorded bundles replay best-effort — the recorded
 // transcript covers one race schedule, and a replay that diverges from it
@@ -167,9 +167,9 @@ func (r *Replay) SessionN(testKey, scanIn []bool, pis [][]bool) (scanOut []bool,
 
 // Replay re-runs the recorded experiment offline: every trial in
 // result.json is re-attacked through a replay oracle built from
-// oracle.jsonl, under the manifest's attack options. The engine is forced
-// sequential regardless of the recorded portfolio width — replay has no
-// silicon to race for, and the sequential engine is what makes the re-run
+// oracle.jsonl, under the manifest's attack options. The engine runs one
+// solver instance regardless of the recorded portfolio width — replay has
+// no silicon to race for, and a single instance is what makes the re-run
 // bit-identical. Success is scored against the recorded secret seed.
 func (b *Bundle) Replay(ctx context.Context) (*ResultDoc, error) {
 	mode := core.ModeLinear

@@ -18,7 +18,7 @@ import (
 // no result.json. OpenPartial loads that prefix leniently, and
 // NewResumeChip chains a Replay over it in front of a live chip: the
 // resumed attack re-derives its solver state by replaying the recorded
-// queries (the sequential engine re-asks exactly the same questions),
+// queries (a one-instance attack re-asks exactly the same questions),
 // then transparently continues on silicon where the transcript ends.
 
 // OpenPartial loads a possibly-incomplete bundle: the manifest is

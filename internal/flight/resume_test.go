@@ -4,7 +4,7 @@ package flight_test
 // plus a transcript prefix, usually no result.json). OpenPartial must load
 // that prefix leniently, and a ResumeChip chained in front of a freshly
 // fabricated live chip must reconstruct the interrupted attack exactly —
-// same candidate set, same iteration count — because the sequential engine
+// same candidate set, same iteration count — because a one-instance attack
 // re-asks the recorded prefix verbatim.
 
 import (

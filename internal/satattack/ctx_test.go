@@ -212,3 +212,46 @@ func TestRunCtxTraceSpans(t *testing.T) {
 		}
 	}
 }
+
+// A SAT call that returns Unknown is won by no instance, at every portfolio
+// width: a run the conflict budget stopped has won exactly its definitive
+// calls — one per DIP, plus the miter's UNSAT proof when the budget cut the
+// extraction after it — and not the call the budget cut. Unbudgeted, one
+// instance needs 18 conflicts on this fixture, so 15 lets a DIP through
+// first; two instances race nondeterministically, so they get a budget of 1
+// and the expected count follows from where the run stopped.
+func TestRunCtxBudgetStopWinsNoRace(t *testing.T) {
+	for pf, budget := range map[int]int64{1: 15, 2: 1} {
+		l, oracle := testLocked(t)
+		res, err := RunCtx(context.Background(), l, oracle, Options{
+			Portfolio:      pf,
+			ConflictBudget: budget,
+		})
+		if err != nil {
+			t.Fatalf("portfolio %d: %v", pf, err)
+		}
+		if !res.Stopped || res.StopReason != StopBudget || res.Key != nil {
+			t.Fatalf("portfolio %d: stopped=%v reason=%q key=%v",
+				pf, res.Stopped, res.StopReason, res.Key != nil)
+		}
+		if pf == 1 && (res.Iterations != 1 || res.Converged) {
+			t.Fatalf("portfolio 1: iterations=%d converged=%v, want the budget to cut DIP search 2",
+				res.Iterations, res.Converged)
+		}
+		want := res.Iterations
+		if res.Converged {
+			want++
+		}
+		if len(res.InstanceWins) != pf {
+			t.Fatalf("portfolio %d: %d win counters", pf, len(res.InstanceWins))
+		}
+		wins := 0
+		for _, w := range res.InstanceWins {
+			wins += w
+		}
+		if wins != want {
+			t.Fatalf("portfolio %d: %d wins, want %d (iterations=%d converged=%v)",
+				pf, wins, want, res.Iterations, res.Converged)
+		}
+	}
+}

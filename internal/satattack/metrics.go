@@ -30,7 +30,8 @@ type attackMetrics struct {
 }
 
 // newAttackMetrics creates the attack-level series tagged with the engine
-// kind ("sequential" or "portfolio"); a nil handle returns nil.
+// kind: "sequential" for one instance, "portfolio" for more. A nil handle
+// returns nil.
 func newAttackMetrics(h *metrics.Handle, engine string) *attackMetrics {
 	if h == nil {
 		return nil

@@ -1,40 +1,40 @@
-// Portfolio SAT attack: every SAT call of the DIP loop and of candidate
-// enumeration is raced across N diversified solver/encoder instances. The
-// race is context-scoped: each race derives a child context, the first
-// instance to return a definitive answer wins and cancels the child, and
-// the losers' ctx watchers interrupt their searches — so cancelling the
-// parent context (deadline, cmd-line -timeout, caller cancellation) tears
-// the whole race down through the same mechanism. The winning
-// distinguishing input and oracle response — or blocking clause — are
-// replayed into every instance, so all clause databases stay logically
+// The attack engine's solver instances. RunCtx builds max(1,
+// Options.Portfolio) diversified solver/encoder instances and races every
+// SAT call of the DIP loop and of candidate enumeration across them. The
+// winning distinguishing input and oracle response — or blocking clause —
+// are replayed into every instance, so all clause databases stay logically
 // equivalent and any instance can win the next race.
 //
+// Instance 0 runs the zero sat.Config, so one instance is the sequential
+// attack. Every race is context-scoped, whatever its width: it derives a
+// child context, the first instance to return a definitive answer wins and
+// cancels the child, and the losers' ctx watchers interrupt their searches
+// — so cancelling the parent context (deadline, cmd-line -timeout, caller
+// cancellation) tears the whole race down through the same mechanism.
+//
 // Diversification (sat.Diversify) varies the VSIDS decay, restart policy,
-// initial phases, and random-decision seed per instance; instance 0 always
-// runs the zero config, i.e. the sequential solver. SAT-call latency, not
-// iteration count, dominates dynamic-scan attacks (ScanSAT, GF-Flush), so
-// racing the solve is where the wall-clock parallelism is.
+// initial phases, and random-decision seed per instance. SAT-call latency,
+// not iteration count, dominates dynamic-scan attacks (ScanSAT, GF-Flush),
+// so racing the solve is where the wall-clock parallelism is.
 //
 // Determinism: the *set* of enumerated keys is the full equivalence class
 // of the oracle constraints, which is independent of which instance wins
 // which race; only the DIP order, iteration count, and per-instance stats
 // vary between runs. Tests assert candidate-set equality across portfolio
 // sizes 1, 2, and 4.
+
 package satattack
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"strconv"
-	"time"
 
 	"dynunlock/internal/aig"
 	"dynunlock/internal/cnf"
 	"dynunlock/internal/encode"
 	"dynunlock/internal/metrics"
 	"dynunlock/internal/sat"
-	"dynunlock/internal/trace"
 )
 
 // pfInstance is one diversified solver with its own encoding of the locked
@@ -53,15 +53,13 @@ type portfolio struct {
 	l     *Locked
 	insts []*pfInstance
 	wins  []int
-	// winCtr mirrors wins as live per-instance counters; entries are nil
-	// (no-op) when metrics are disabled.
+	// winCtr mirrors wins as live per-instance counters. Entries are nil
+	// (no-op) when metrics are disabled or only one instance runs.
 	winCtr []*metrics.Counter
 	// aig, when non-nil, is the compacted arena every instance's copies
 	// are encoded from (Options.AIG). The graph is read-only after
 	// construction, so all instances share one.
 	aig *aig.Graph
-	// simplify arms per-instance level-0 inprocessing between DIPs.
-	simplify bool
 }
 
 // emitted snapshots instance 0's problem size (variables; clauses plus
@@ -72,9 +70,11 @@ func (p *portfolio) emitted() (uint64, uint64) {
 }
 
 func newPortfolio(l *Locked, opts Options, mh *metrics.Handle) (*portfolio, error) {
-	n := opts.Portfolio
-	p := &portfolio{l: l, wins: make([]int, n), simplify: opts.Simplify}
+	n := max(1, opts.Portfolio)
+	p := &portfolio{l: l, wins: make([]int, n), winCtr: make([]*metrics.Counter, n)}
 	if opts.AIG {
+		// Stage one of the AIG pipeline: compile the locked view once into
+		// a compacted arena shared by every circuit copy this attack emits.
 		g, err := aig.FromCombView(l.View)
 		if err != nil {
 			return nil, err
@@ -85,7 +85,9 @@ func newPortfolio(l *Locked, opts Options, mh *metrics.Handle) (*portfolio, erro
 		s := sat.NewWithConfig(sat.Diversify(i))
 		s.ConflictBudget = opts.ConflictBudget
 		installSolverMetrics(mh, opts.Search, s, i)
-		p.winCtr = append(p.winCtr, mh.Counter(metrics.MetricPortfolioWins, "instance", strconv.Itoa(i)))
+		if n > 1 {
+			p.winCtr[i] = mh.Counter(metrics.MetricPortfolioWins, "instance", strconv.Itoa(i))
+		}
 		e := encode.NewWithConfig(s, encode.Config{NativeXor: opts.NativeXor})
 		in := &pfInstance{
 			s:  s,
@@ -97,6 +99,8 @@ func newPortfolio(l *Locked, opts Options, mh *metrics.Handle) (*portfolio, erro
 		y1 := l.encodeCopy(e, p.aig, in.x, in.k1)
 		y2 := l.encodeCopy(e, p.aig, in.x, in.k2)
 		in.miter = e.Miter(y1, y2)
+		// Branch on key variables first: the miter search closes fastest
+		// when the candidate keys are fixed before the shared inputs.
 		for _, ks := range [][]cnf.Lit{in.k1, in.k2} {
 			for _, kl := range ks {
 				s.BumpActivity(kl.Var(), 1)
@@ -107,13 +111,14 @@ func newPortfolio(l *Locked, opts Options, mh *metrics.Handle) (*portfolio, erro
 	return p, nil
 }
 
-// race runs one SAT call on every instance concurrently and returns the
-// index and status of the first definitive (Sat/Unsat) finisher, after
-// cancelling and draining the rest. Every instance solves under a child
-// context of ctx: the winner cancels it to stop the losers, and a parent
-// cancellation or deadline stops the whole race the same way. If every
-// instance returns Unknown (parent cancelled, or conflict budget
-// exhausted) the winner index is -1.
+// race runs one SAT call on every instance and returns the index and status
+// of the first definitive (Sat/Unsat) finisher. Instances solve
+// concurrently under a child context of ctx: the winner cancels it to stop
+// the losers, a parent cancellation or deadline stops the whole race the
+// same way, and every loser is drained before race returns. One instance
+// takes the same path. A call that returns Unknown on every instance (ctx
+// stopped, or the conflict budget ran out) is won by no instance: the
+// winner index is -1 and no win is counted.
 func (p *portfolio) race(ctx context.Context, withMiter bool) (int, sat.Status) {
 	type outcome struct {
 		idx int
@@ -125,13 +130,11 @@ func (p *portfolio) race(ctx context.Context, withMiter bool) (int, sat.Status) 
 	for i, in := range p.insts {
 		in.s.ClearInterrupt()
 		go func(i int, in *pfInstance) {
-			var st sat.Status
 			if withMiter {
-				st = in.s.SolveCtx(raceCtx, in.miter)
+				ch <- outcome{i, in.s.SolveCtx(raceCtx, in.miter)}
 			} else {
-				st = in.s.SolveCtx(raceCtx)
+				ch <- outcome{i, in.s.SolveCtx(raceCtx)}
 			}
-			ch <- outcome{i, st}
 		}(i, in)
 	}
 	winner, st := -1, sat.Unknown
@@ -153,8 +156,7 @@ func (p *portfolio) race(ctx context.Context, withMiter bool) (int, sat.Status) 
 }
 
 // replayDIP asserts the oracle's response for a distinguishing input on
-// both key copies of every instance — the same constraint the sequential
-// engine adds, issued N times. It returns instance 0's problem-size
+// both key copies of every instance. It returns instance 0's problem-size
 // growth (encoding is deterministic, so every instance grows alike).
 func (p *portfolio) replayDIP(dip, resp []bool) (dVars, dClauses uint64) {
 	ev0, ec0 := p.emitted()
@@ -179,6 +181,39 @@ func (p *portfolio) block(k []bool) bool {
 	return ok
 }
 
+// enumerateFrom lists the keys consistent with the accumulated constraints
+// via blocking clauses, starting from first, up to limit keys. exact
+// reports that the list is the complete equivalence class. When a context
+// or budget bound cut the enumeration short, the list is a valid but
+// possibly incomplete prefix, reported inexact, and stop names the bound.
+func (p *portfolio) enumerateFrom(ctx context.Context, first []bool, limit int) (keys [][]bool, exact bool, stop StopReason) {
+	keys = [][]bool{append([]bool(nil), first...)}
+	if !p.block(first) {
+		return keys, true, StopNone
+	}
+	for len(keys) < limit {
+		winner, st := p.race(ctx, false)
+		switch st {
+		case sat.Unknown:
+			return keys, false, ctxStopReason(ctx)
+		case sat.Unsat:
+			return keys, true, StopNone
+		}
+		w := p.insts[winner]
+		k := w.e.ModelBits(w.k1)
+		keys = append(keys, k)
+		if !p.block(k) {
+			return keys, true, StopNone
+		}
+	}
+	// Limit reached; check whether anything remains.
+	_, st := p.race(ctx, false)
+	if st == sat.Unknown {
+		return keys, false, ctxStopReason(ctx)
+	}
+	return keys, st == sat.Unsat, StopNone
+}
+
 // statsSum returns the element-wise sum of every instance's solver
 // counters: total work across the portfolio, not critical-path work.
 func (p *portfolio) statsSum() sat.Stats {
@@ -187,229 +222,6 @@ func (p *portfolio) statsSum() sat.Stats {
 		sum = addStats(sum, in.s.Stats)
 	}
 	return sum
-}
-
-// runPortfolio is the portfolio counterpart of RunCtx: same stage spans,
-// same typed partial results, with every SAT call raced across instances.
-func runPortfolio(ctx context.Context, l *Locked, o Oracle, opts Options) (*Result, error) {
-	tr := trace.From(ctx)
-	mh := metrics.From(ctx)
-	am := newAttackMetrics(mh, "portfolio")
-	start := time.Now()
-
-	enc := tr.Start("encode")
-	p, err := newPortfolio(l, opts, mh)
-	if err != nil {
-		enc.End()
-		return nil, err
-	}
-	enc.Add("instances", uint64(len(p.insts)))
-	enc.Add("vars", uint64(p.insts[0].s.NumVars()))
-	enc.Add("clauses", uint64(p.insts[0].s.NumClauses()))
-	if p.aig != nil {
-		enc.Add("aig_nodes", uint64(p.aig.NumNodes()))
-	}
-	enc.End()
-
-	res := &Result{}
-	res.EncodeVars, res.EncodeClauses = p.emitted()
-	am.observeEncode(res.EncodeVars, res.EncodeClauses)
-	// One consistency checker serves the whole portfolio: it sees each
-	// winning DIP once, after every instance has asserted it.
-	chk := newKeyChecker(l, p.aig, opts, mh, am)
-	finish := func(reason StopReason) *Result {
-		if reason != StopNone {
-			res.Stopped = true
-			res.StopReason = reason
-		}
-		for _, in := range p.insts {
-			in.s.FlushHook()
-		}
-		chk.s.FlushHook()
-		res.SolverStats = addStats(p.statsSum(), chk.s.Stats)
-		for _, in := range p.insts {
-			res.InstanceStats = append(res.InstanceStats, in.s.Stats)
-		}
-		res.InstanceWins = append([]int(nil), p.wins...)
-		res.Elapsed = time.Since(start)
-		return res
-	}
-
-	loop := tr.Start("dip_loop")
-	loopMark := p.statsSum()
-	var loopEncV, loopEncC uint64
-	endLoop := func() {
-		addStatsDelta(loop, loopMark, p.statsSum())
-		loop.Add("dips", uint64(res.Iterations))
-		loop.Add("oracle_queries", uint64(res.Queries))
-		loop.Add("encode_vars", loopEncV)
-		loop.Add("encode_clauses", loopEncC)
-		chk.addCounters(loop)
-		loop.End()
-	}
-	stop := StopNone
-	insCursor := 0
-	var unique []bool
-dipLoop:
-	for {
-		if err := ctx.Err(); err != nil {
-			stop = ctxStopReason(ctx)
-			break
-		}
-		if opts.MaxIterations > 0 && res.Iterations >= opts.MaxIterations {
-			stop = StopIterations
-			break
-		}
-		if unique != nil {
-			res.Key = unique
-			res.Converged = true
-			break
-		}
-		var solveT0, solveT1 time.Time
-		if am != nil || opts.OnDIP != nil {
-			solveT0 = time.Now()
-		}
-		winner, st := p.race(ctx, true)
-		if am != nil || opts.OnDIP != nil {
-			solveT1 = time.Now()
-		}
-		if am != nil {
-			am.observeSolve(solveT1.Sub(solveT0))
-		}
-		switch st {
-		case sat.Unsat:
-			res.Converged = true
-			break dipLoop
-		case sat.Unknown:
-			stop = ctxStopReason(ctx)
-			break dipLoop
-		case sat.Sat:
-			w := p.insts[winner]
-			dip := w.e.ModelBits(w.x)
-			resp := o.Query(dip)
-			res.Queries++
-			res.Iterations++
-			if len(resp) != len(l.View.Outputs) {
-				endLoop()
-				return nil, fmt.Errorf("satattack: oracle returned %d outputs, want %d", len(resp), len(l.View.Outputs))
-			}
-			am.observeDIP(res.Iterations)
-			if opts.OnDIP != nil {
-				opts.OnDIP(res.Iterations, dip, resp, p.statsSum(), solveT1.Sub(solveT0))
-			}
-			dv, dc := p.replayDIP(dip, resp)
-			res.EncodeVars += dv
-			res.EncodeClauses += dc
-			loopEncV += dv
-			loopEncC += dc
-			am.observeEncode(dv, dc)
-			if opts.Insight != nil {
-				// Replay the certified rows into every instance so all
-				// clause databases stay logically equivalent and any
-				// instance can win the next race.
-				var cs []KeyConstraint
-				cs, insCursor = opts.Insight.ConstraintsSince(insCursor)
-				for _, in := range p.insts {
-					injectInsight(in.s, in.k1, in.k2, cs)
-				}
-				if key, ok := opts.Insight.SolveKey(); ok && len(key) == len(l.KeyIdx) {
-					res.Key = append([]bool(nil), key...)
-					res.Analytic = true
-					res.Converged = true
-					break dipLoop
-				}
-			}
-			if p.simplify {
-				// Per-instance level-0 inprocessing: clause databases differ
-				// (learnts diverge between instances) but each rewrite is
-				// equivalence-preserving, so the race stays fair.
-				for _, in := range p.insts {
-					in.s.Simplify()
-				}
-			}
-			tr.Progressf("iter %d: dip=%s inst=%d clauses=%d",
-				res.Iterations, bitString(dip), winner, w.s.NumClauses())
-			if opts.Log != nil {
-				fmt.Fprintf(opts.Log, "iter %d: dip=%s inst=%d clauses=%d\n",
-					res.Iterations, bitString(dip), winner, w.s.NumClauses())
-			}
-			if opts.DumpCNF != nil {
-				opts.DumpCNF(res.Iterations, w.s.WriteDimacs)
-			}
-			unique = chk.observe(ctx, dip, resp)
-		}
-	}
-	endLoop()
-	if stop != StopNone && stop != StopIterations {
-		return finish(stop), nil
-	}
-	if res.Key != nil {
-		// Rank-k short-circuit or proven uniqueness (see the sequential
-		// engine): extraction and enumeration races are skipped.
-		settleUnique(tr, res, opts.EnumerateLimit)
-		return finish(stop), nil
-	}
-
-	// Key extraction.
-	ext := tr.Start("extract")
-	extMark := p.statsSum()
-	winner, st := p.race(ctx, false)
-	addStatsDelta(ext, extMark, p.statsSum())
-	ext.End()
-	switch st {
-	case sat.Unsat:
-		return nil, ErrUnsat
-	case sat.Unknown:
-		return finish(ctxStopReason(ctx)), nil
-	}
-	w := p.insts[winner]
-	res.Key = w.e.ModelBits(w.k1)
-
-	if opts.EnumerateLimit > 0 {
-		enumSp := tr.Start("enumerate")
-		enumMark := p.statsSum()
-		res.Candidates = [][]bool{append([]bool(nil), res.Key...)}
-		res.CandidatesExact = false
-		if p.block(res.Key) {
-		enumLoop:
-			for len(res.Candidates) < opts.EnumerateLimit {
-				winner, st := p.race(ctx, false)
-				switch {
-				case st == sat.Unknown:
-					stop = ctxStopReason(ctx)
-					break enumLoop
-				case st != sat.Sat:
-					res.CandidatesExact = st == sat.Unsat
-					break enumLoop
-				}
-				w := p.insts[winner]
-				k := w.e.ModelBits(w.k1)
-				res.Candidates = append(res.Candidates, k)
-				if !p.block(k) {
-					res.CandidatesExact = true
-					break
-				}
-			}
-			if stop == StopNone && len(res.Candidates) == opts.EnumerateLimit && !res.CandidatesExact {
-				// Limit reached; check whether anything remains.
-				_, st := p.race(ctx, false)
-				if st == sat.Unknown {
-					stop = ctxStopReason(ctx)
-				} else {
-					res.CandidatesExact = st == sat.Unsat
-				}
-			}
-		} else {
-			res.CandidatesExact = true
-		}
-		// Race winners enumerate keys in solver-dependent order; report the
-		// class in a canonical order so portfolio size never changes output.
-		sortKeys(res.Candidates)
-		addStatsDelta(enumSp, enumMark, p.statsSum())
-		enumSp.Add("candidates", uint64(len(res.Candidates)))
-		enumSp.End()
-	}
-	return finish(stop), nil
 }
 
 // sortKeys orders bit vectors lexicographically (false < true).

@@ -96,9 +96,8 @@ func (f OracleFunc) Query(in []bool) []bool { return f(in) }
 // Options tunes the attack.
 type Options struct {
 	// Portfolio is the number of diversified solver/encoder instances that
-	// race each SAT call (see Portfolio in portfolio.go). Values <= 1 run
-	// the sequential engine, whose behavior is bit-identical to the
-	// pre-portfolio implementation.
+	// race each SAT call (portfolio.go). Values <= 1 run one instance: the
+	// sequential attack.
 	Portfolio int
 	// MaxIterations bounds the DIP loop; 0 means unlimited.
 	MaxIterations int
@@ -287,12 +286,17 @@ type Result struct {
 	// miter instance and the key-consistency checker (total work, not
 	// critical-path work).
 	SolverStats sat.Stats
-	// InstanceStats holds per-instance miter-solver counters: one entry for
-	// the sequential engine, Options.Portfolio entries for a portfolio run.
-	// The checker's work is in SolverStats only.
+	// InstanceStats holds per-instance miter-solver counters, one entry per
+	// instance (max(1, Options.Portfolio) entries). The checker's work is in
+	// SolverStats only.
 	InstanceStats []sat.Stats
-	// InstanceWins counts, per instance, the races that instance finished
-	// first (every SAT call is one race; sequential runs win them all).
+	// InstanceWins counts, per instance, the SAT calls that instance
+	// answered first. Every miter SAT call (DIP search, extraction,
+	// enumeration) is one race, and one rule holds at every width: a call
+	// that returns Sat or Unsat is won by the instance that answered it,
+	// and a call that returns Unknown (a deadline, cancellation, or the
+	// conflict budget stopped it) is won by no instance. A single instance
+	// therefore wins every definitive call.
 	InstanceWins []int
 	// Stopped is true when a deadline, cancellation, or budget bounded the
 	// attack before it finished; the Result is then partial (Key and
@@ -314,93 +318,71 @@ func Run(l *Locked, o Oracle, opts Options) (*Result, error) {
 	return RunCtx(context.Background(), l, o, opts)
 }
 
-// RunCtx executes the SAT attack. With Options.Portfolio > 1 the DIP loop
-// and enumeration race diversified solver instances (see portfolio.go);
-// otherwise the sequential engine below runs.
+// RunCtx executes the SAT attack on max(1, Options.Portfolio) solver
+// instances that race every SAT call (portfolio.go); one instance is the
+// sequential attack.
 //
 // Cancelling ctx — or exhausting its deadline, or the conflict budget —
 // never returns an error: the attack stops at the next solver check point
 // and returns the partial Result with Stopped set and StopReason naming
 // the bound. A background context and no trace sink reproduce the
-// unbounded sequential behavior bit for bit.
+// unbounded attack bit for bit.
 func RunCtx(ctx context.Context, l *Locked, o Oracle, opts Options) (*Result, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Portfolio > 1 {
-		return runPortfolio(ctx, l, o, opts)
-	}
 	tr := trace.From(ctx)
 	mh := metrics.From(ctx)
-	am := newAttackMetrics(mh, "sequential")
+	engine := "sequential"
+	if opts.Portfolio > 1 {
+		engine = "portfolio"
+	}
+	am := newAttackMetrics(mh, engine)
 	start := time.Now()
 
 	enc := tr.Start("encode")
-	s := sat.New()
-	s.ConflictBudget = opts.ConflictBudget
-	installSolverMetrics(mh, opts.Search, s, 0)
-	e := encode.NewWithConfig(s, encode.Config{NativeXor: opts.NativeXor})
-
-	// Stage one of the AIG pipeline: compile the locked view once into a
-	// compacted arena shared by every circuit copy this attack emits.
-	var g *aig.Graph
-	if opts.AIG {
-		var err error
-		g, err = aig.FromCombView(l.View)
-		if err != nil {
-			return nil, err
-		}
-		enc.Add("aig_nodes", uint64(g.NumNodes()))
+	p, err := newPortfolio(l, opts, mh)
+	if err != nil {
+		enc.End()
+		return nil, err
 	}
-	emitted := func() (uint64, uint64) {
-		return uint64(s.NumVars()), uint64(s.NumClauses() + s.NumXors())
+	enc.Add("instances", uint64(len(p.insts)))
+	enc.Add("vars", uint64(p.insts[0].s.NumVars()))
+	enc.Add("clauses", uint64(p.insts[0].s.NumClauses()))
+	if p.aig != nil {
+		enc.Add("aig_nodes", uint64(p.aig.NumNodes()))
 	}
-
-	x := e.FreshVec(len(l.InIdx))
-	k1 := e.FreshVec(len(l.KeyIdx))
-	k2 := e.FreshVec(len(l.KeyIdx))
-
-	y1 := l.encodeCopy(e, g, x, k1)
-	y2 := l.encodeCopy(e, g, x, k2)
-	miter := e.Miter(y1, y2)
-
-	// Branch on key variables first: the miter search closes fastest when
-	// the candidate keys are fixed before the shared inputs.
-	for _, ks := range [][]cnf.Lit{k1, k2} {
-		for _, kl := range ks {
-			s.BumpActivity(kl.Var(), 1)
-		}
-	}
-	res := &Result{}
-	res.EncodeVars, res.EncodeClauses = emitted()
-	am.observeEncode(res.EncodeVars, res.EncodeClauses)
-	enc.Add("vars", uint64(s.NumVars()))
-	enc.Add("clauses", uint64(s.NumClauses()))
 	enc.End()
-	chk := newKeyChecker(l, g, opts, mh, am)
 
-	finish := func(reason StopReason, solves int) *Result {
+	res := &Result{}
+	res.EncodeVars, res.EncodeClauses = p.emitted()
+	am.observeEncode(res.EncodeVars, res.EncodeClauses)
+	// One consistency checker serves every instance: it sees each winning
+	// DIP once, after every instance has asserted it.
+	chk := newKeyChecker(l, p.aig, opts, mh, am)
+	finish := func(reason StopReason) *Result {
 		if reason != StopNone {
 			res.Stopped = true
 			res.StopReason = reason
 		}
 		// Level-0 work after the last solve (the final DIP's copies, the
 		// checker's retired literal) reaches the metrics hook only here.
-		s.FlushHook()
+		for _, in := range p.insts {
+			in.s.FlushHook()
+			res.InstanceStats = append(res.InstanceStats, in.s.Stats)
+		}
 		chk.s.FlushHook()
-		res.SolverStats = addStats(s.Stats, chk.s.Stats)
-		res.InstanceStats = []sat.Stats{s.Stats}
-		res.InstanceWins = []int{solves}
+		res.SolverStats = addStats(p.statsSum(), chk.s.Stats)
+		res.InstanceWins = append([]int(nil), p.wins...)
 		res.Elapsed = time.Since(start)
 		return res
 	}
 
-	solves := 0
 	loop := tr.Start("dip_loop")
-	loopMark := s.Stats
+	loopMark := p.statsSum()
 	var loopEncV, loopEncC uint64
 	endLoop := func() {
-		addStatsDelta(loop, loopMark, s.Stats)
+		addStatsDelta(loop, loopMark, p.statsSum())
 		loop.Add("dips", uint64(res.Iterations))
 		loop.Add("oracle_queries", uint64(res.Queries))
 		loop.Add("encode_vars", loopEncV)
@@ -428,14 +410,13 @@ dipLoop:
 			res.Converged = true
 			break
 		}
-		solves++
 		// The timestamp is taken only when an observer is live so the
 		// disabled path stays bit-identical and syscall-free.
 		var solveT0, solveT1 time.Time
 		if am != nil || opts.OnDIP != nil {
 			solveT0 = time.Now()
 		}
-		st := s.SolveCtx(ctx, miter)
+		winner, st := p.race(ctx, true)
 		if am != nil || opts.OnDIP != nil {
 			solveT1 = time.Now()
 		}
@@ -449,65 +430,66 @@ dipLoop:
 		case sat.Unknown:
 			stop = ctxStopReason(ctx)
 			break dipLoop
-		case sat.Sat:
-			dip := e.ModelBits(x)
-			resp := o.Query(dip)
-			res.Queries++
-			res.Iterations++
-			if len(resp) != len(l.View.Outputs) {
-				endLoop()
-				return nil, fmt.Errorf("satattack: oracle returned %d outputs, want %d", len(resp), len(l.View.Outputs))
-			}
-			am.observeDIP(res.Iterations)
-			if opts.OnDIP != nil {
-				opts.OnDIP(res.Iterations, dip, resp, s.Stats, solveT1.Sub(solveT0))
-			}
-			cx := e.ConstVec(dip)
-			ev0, ec0 := emitted()
-			e.AssertEqualConst(l.encodeCopy(e, g, cx, k1), resp)
-			e.AssertEqualConst(l.encodeCopy(e, g, cx, k2), resp)
-			ev1, ec1 := emitted()
-			res.EncodeVars += ev1 - ev0
-			res.EncodeClauses += ec1 - ec0
-			loopEncV += ev1 - ev0
-			loopEncC += ec1 - ec0
-			am.observeEncode(ev1-ev0, ec1-ec0)
-			if opts.Insight != nil {
-				// The OnDIP chain above let the insight source observe this
-				// response; its new rows are linear consequences of the
-				// constraints just asserted, so injecting them prunes no
-				// candidate key.
-				var cs []KeyConstraint
-				cs, insCursor = opts.Insight.ConstraintsSince(insCursor)
-				injectInsight(s, k1, k2, cs)
-				if key, ok := opts.Insight.SolveKey(); ok && len(key) == len(k1) {
-					res.Key = append([]bool(nil), key...)
-					res.Analytic = true
-					res.Converged = true
-					break dipLoop
-				}
-			}
-			if opts.Simplify {
-				// Level-0 inprocessing between DIPs: the response units just
-				// asserted satisfy or shorten clauses of earlier copies. An
-				// UNSAT result here surfaces on the next solve.
-				s.Simplify()
-			}
-			tr.Progressf("iter %d: dip=%s clauses=%d conflicts=%d",
-				res.Iterations, bitString(dip), s.NumClauses(), s.Stats.Conflicts)
-			if opts.Log != nil {
-				fmt.Fprintf(opts.Log, "iter %d: dip=%s clauses=%d conflicts=%d\n",
-					res.Iterations, bitString(dip), s.NumClauses(), s.Stats.Conflicts)
-			}
-			if opts.DumpCNF != nil {
-				opts.DumpCNF(res.Iterations, s.WriteDimacs)
-			}
-			unique = chk.observe(ctx, dip, resp)
 		}
+		w := p.insts[winner]
+		dip := w.e.ModelBits(w.x)
+		resp := o.Query(dip)
+		res.Queries++
+		res.Iterations++
+		if len(resp) != len(l.View.Outputs) {
+			endLoop()
+			return nil, fmt.Errorf("satattack: oracle returned %d outputs, want %d", len(resp), len(l.View.Outputs))
+		}
+		am.observeDIP(res.Iterations)
+		if opts.OnDIP != nil {
+			opts.OnDIP(res.Iterations, dip, resp, p.statsSum(), solveT1.Sub(solveT0))
+		}
+		dv, dc := p.replayDIP(dip, resp)
+		res.EncodeVars += dv
+		res.EncodeClauses += dc
+		loopEncV += dv
+		loopEncC += dc
+		am.observeEncode(dv, dc)
+		if opts.Insight != nil {
+			// The OnDIP chain above let the insight source observe this
+			// response; its new rows are linear consequences of the
+			// constraints just asserted, so injecting them into every
+			// instance prunes no candidate key.
+			var cs []KeyConstraint
+			cs, insCursor = opts.Insight.ConstraintsSince(insCursor)
+			for _, in := range p.insts {
+				injectInsight(in.s, in.k1, in.k2, cs)
+			}
+			if key, ok := opts.Insight.SolveKey(); ok && len(key) == len(l.KeyIdx) {
+				res.Key = append([]bool(nil), key...)
+				res.Analytic = true
+				res.Converged = true
+				break
+			}
+		}
+		if opts.Simplify {
+			// Level-0 inprocessing between DIPs: the response units just
+			// asserted satisfy or shorten clauses of earlier copies. Each
+			// rewrite is equivalence-preserving, so the race stays fair. An
+			// UNSAT result here surfaces on the next solve.
+			for _, in := range p.insts {
+				in.s.Simplify()
+			}
+		}
+		tr.Progressf("iter %d: dip=%s inst=%d clauses=%d conflicts=%d",
+			res.Iterations, bitString(dip), winner, w.s.NumClauses(), w.s.Stats.Conflicts)
+		if opts.Log != nil {
+			fmt.Fprintf(opts.Log, "iter %d: dip=%s inst=%d clauses=%d conflicts=%d\n",
+				res.Iterations, bitString(dip), winner, w.s.NumClauses(), w.s.Stats.Conflicts)
+		}
+		if opts.DumpCNF != nil {
+			opts.DumpCNF(res.Iterations, w.s.WriteDimacs)
+		}
+		unique = chk.observe(ctx, dip, resp)
 	}
 	endLoop()
 	if stop != StopNone && stop != StopIterations {
-		return finish(stop, solves), nil
+		return finish(stop), nil
 	}
 	if res.Key != nil {
 		// Rank-k short-circuit or proven uniqueness ended the loop: the
@@ -515,39 +497,43 @@ dipLoop:
 		// enumeration SAT calls are needed. (An iteration bound that fired
 		// first leaves Key nil and takes the extraction path below.)
 		settleUnique(tr, res, opts.EnumerateLimit)
-		return finish(stop, solves), nil
+		return finish(stop), nil
 	}
 
 	// Key extraction: any key consistent with all recorded I/O pairs.
 	ext := tr.Start("extract")
-	extMark := s.Stats
-	solves++
-	st := s.SolveCtx(ctx)
-	addStatsDelta(ext, extMark, s.Stats)
+	extMark := p.statsSum()
+	winner, st := p.race(ctx, false)
+	addStatsDelta(ext, extMark, p.statsSum())
 	ext.End()
 	switch st {
 	case sat.Unsat:
 		return nil, ErrUnsat
 	case sat.Unknown:
-		return finish(ctxStopReason(ctx), solves), nil
+		return finish(ctxStopReason(ctx)), nil
 	}
-	res.Key = e.ModelBits(k1)
+	w := p.insts[winner]
+	res.Key = w.e.ModelBits(w.k1)
 
 	if opts.EnumerateLimit > 0 {
 		enumSp := tr.Start("enumerate")
-		enumMark := s.Stats
-		var enumSolves int
+		enumMark := p.statsSum()
 		var enumStop StopReason
-		res.Candidates, res.CandidatesExact, enumSolves, enumStop = enumerate(ctx, s, e, k1, res.Key, opts.EnumerateLimit)
-		solves += enumSolves
+		res.Candidates, res.CandidatesExact, enumStop = p.enumerateFrom(ctx, res.Key, opts.EnumerateLimit)
 		if enumStop != StopNone {
 			stop = enumStop
 		}
-		addStatsDelta(enumSp, enumMark, s.Stats)
+		if len(p.insts) > 1 {
+			// Race winners enumerate keys in solver-dependent order; report
+			// the class in a canonical order so portfolio size never changes
+			// output.
+			sortKeys(res.Candidates)
+		}
+		addStatsDelta(enumSp, enumMark, p.statsSum())
 		enumSp.Add("candidates", uint64(len(res.Candidates)))
 		enumSp.End()
 	}
-	return finish(stop, solves), nil
+	return finish(stop), nil
 }
 
 // settleUnique completes a Result whose Key is the only consistent key:
@@ -640,44 +626,6 @@ func blockingClause(keyLits []cnf.Lit, k []bool) []cnf.Lit {
 		}
 	}
 	return clause
-}
-
-// enumerate lists satisfying assignments of the key literals via blocking
-// clauses, starting from first. It also returns the number of Solve calls
-// it issued (for win accounting) and, when a context or budget bound cut
-// the enumeration short, the stop reason (the candidate list is then a
-// valid but possibly incomplete prefix, reported inexact).
-func enumerate(ctx context.Context, s *sat.Solver, e *encode.Encoder, keyLits []cnf.Lit, first []bool, limit int) ([][]bool, bool, int, StopReason) {
-	candidates := [][]bool{append([]bool(nil), first...)}
-	solves := 0
-	block := func(k []bool) bool {
-		return s.AddClause(blockingClause(keyLits, k)...)
-	}
-	if !block(first) {
-		return candidates, true, solves, StopNone
-	}
-	for len(candidates) < limit {
-		solves++
-		st := s.SolveCtx(ctx)
-		if st == sat.Unknown {
-			return candidates, false, solves, ctxStopReason(ctx)
-		}
-		if st != sat.Sat {
-			return candidates, st == sat.Unsat, solves, StopNone
-		}
-		k := e.ModelBits(keyLits)
-		candidates = append(candidates, k)
-		if !block(k) {
-			return candidates, true, solves, StopNone
-		}
-	}
-	// Limit reached; check whether anything remains.
-	solves++
-	st := s.SolveCtx(ctx)
-	if st == sat.Unknown {
-		return candidates, false, solves, ctxStopReason(ctx)
-	}
-	return candidates, st == sat.Unsat, solves, StopNone
 }
 
 func bitString(bs []bool) string {
