@@ -233,6 +233,9 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 	adapter := NewChipOracle(chip, opts.TestKey)
 	saOpts := opts.engineOptions()
 
+	// A and B are the session-0 masks of the model the attack builds; the
+	// verify stage reuses them rather than unrolling the register again.
+	var A, B *gf2.Mat
 	res := &Result{Mode: opts.Mode}
 	switch opts.Mode {
 	case ModeDirect:
@@ -242,6 +245,7 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 			unroll.End()
 			return nil, err
 		}
+		A, B = model.A, model.B
 		res.Rank = model.Rank()
 		res.PredictedLog2 = model.PredictedCandidatesLog2()
 		unroll.Add("key_bits", uint64(d.Config.KeyBits))
@@ -270,8 +274,8 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 			unroll.End()
 			return nil, err
 		}
-		stacked := gf2.VStack(mm.A, mm.B)
-		res.Rank = gf2.Rank(stacked)
+		A, B = mm.A, mm.B
+		res.Rank = gf2.Rank(gf2.VStack(A, B))
 		res.PredictedLog2 = d.Config.KeyBits - res.Rank
 		unroll.Add("key_bits", uint64(d.Config.KeyBits))
 		unroll.Add("rank", uint64(res.Rank))
@@ -299,11 +303,7 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 	// on fresh random sessions. A partial candidate set from a stopped run
 	// is still verified — the probes are closed-form, not SAT work.
 	verify := tr.Start("verify")
-	v, err := NewVerifier(d)
-	if err != nil {
-		verify.End()
-		return nil, err
-	}
+	v := newVerifier(d, A, B)
 	res.Verified = len(res.SeedCandidates) > 0
 	rngProbe := newSplitMix(0x9e3779b97f4a7c15)
 	probes := 0
@@ -417,19 +417,26 @@ type Verifier struct {
 	a, b *gf2.Mat
 }
 
-// NewVerifier builds a verifier for the design, precomputing the session-0
-// mask matrices. The sequential core runs on the AIG fast path (bit-identical
-// to the gate-level stepper), falling back to it only if compilation fails.
+// NewVerifier builds a verifier for the design, computing the session-0
+// mask matrices. (AttackCtx builds its verifier on the masks its model
+// already holds.) The sequential core runs on the AIG fast path
+// (bit-identical to the gate-level stepper), falling back to it only if
+// compilation fails.
 func NewVerifier(d *lock.Design) (*Verifier, error) {
 	A, B, err := maskMatrices(d, 0)
 	if err != nil {
 		return nil, err
 	}
+	return newVerifier(d, A, B), nil
+}
+
+// newVerifier builds a verifier on session-0 masks A and B of d.
+func newVerifier(d *lock.Design, A, B *gf2.Mat) *Verifier {
 	seq, err := sim.NewSeqAIG(d.View)
 	if err != nil {
 		seq = sim.NewSeq(d.View)
 	}
-	return &Verifier{d: d, seq: seq, a: A, b: B}, nil
+	return &Verifier{d: d, seq: seq, a: A, b: B}
 }
 
 // Session predicts (scanOut, po) of a session-0 scan session under the

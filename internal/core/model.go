@@ -66,18 +66,19 @@ func MaskMatrices(d *lock.Design, patIdx int) (A, B *gf2.Mat, err error) {
 	return maskMatrices(d, patIdx)
 }
 
-// registerStates returns the symbolic key-register states for step counts
-// 0..maxSteps: states[t]·seed is the register value after t steps.
-func registerStates(d *lock.Design, maxSteps int) ([]*gf2.Mat, error) {
+// registerRows returns the symbolic key register for step counts
+// 0..maxSteps: rows(t, i)·seed is register bit i after t steps. The rows
+// are shared and read-only.
+func registerRows(d *lock.Design, maxSteps int) (rows func(t, i int) gf2.Vec, err error) {
 	if d.Config.Policy == scan.Static {
-		states := make([]*gf2.Mat, maxSteps+1)
 		id := gf2.Identity(d.Config.KeyBits)
-		for i := range states {
-			states[i] = id
-		}
-		return states, nil
+		return func(_, i int) gf2.Vec { return id.Row(i) }, nil
 	}
-	return lfsr.UnrollStates(d.Config.Poly, maxSteps+1)
+	u, err := lfsr.Unroll(d.Config.Poly, maxSteps)
+	if err != nil {
+		return nil, err
+	}
+	return u.Row, nil
 }
 
 // BuildModel constructs the combinational locked model for one capture

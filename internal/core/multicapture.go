@@ -33,22 +33,21 @@ func maskMatricesN(d *lock.Design, patIdx, captures int) (A, B *gf2.Mat, err err
 			maxSteps = s
 		}
 	}
-	states, err := registerStates(d, maxSteps)
+	rows, err := registerRows(d, maxSteps)
 	if err != nil {
 		return nil, nil, err
 	}
-	row := func(terms []scan.Term) gf2.Vec {
-		v := gf2.NewVec(k)
+	// Each mask row is the XOR of its terms' register rows, accumulated in
+	// place in the matrix row.
+	accumulate := func(dst gf2.Vec, terms []scan.Term) {
 		for _, t := range terms {
-			steps := d.Config.Policy.Steps(patIdx, t.Cycle, d.Config.Period)
-			v.Xor(states[steps].Row(t.KeyBit))
+			dst.Xor(rows(d.Config.Policy.Steps(patIdx, t.Cycle, d.Config.Period), t.KeyBit))
 		}
-		return v
 	}
 	A, B = gf2.NewMat(n, k), gf2.NewMat(n, k)
 	for j := 0; j < n; j++ {
-		A.SetRow(j, row(d.Chain.InMaskTerms(j)))
-		B.SetRow(j, row(d.Chain.OutMaskTermsN(j, captures)))
+		accumulate(A.Row(j), d.Chain.InMaskTerms(j))
+		accumulate(B.Row(j), d.Chain.OutMaskTermsN(j, captures))
 	}
 	return A, B, nil
 }

@@ -77,6 +77,29 @@ func (v Vec) Set(i int, b bool) {
 // Flip toggles bit i.
 func (v Vec) Flip(i int) { v.Set(i, !v.Get(i)) }
 
+// Words returns the packed storage of v: bit i is bit i%64 of word i/64.
+// The slice aliases v, so writes through it change v; bits at and beyond
+// Len must stay zero. It is the word-level view hot loops use in place of
+// the bounds-checked Get and Set.
+func (v Vec) Words() []uint64 { return v.words }
+
+// ShiftUp moves every bit one position up in place (bit i to bit i+1),
+// drops the top bit and sets bit 0 to in: one shift of a shift register
+// whose bit 0 is the input end.
+func (v Vec) ShiftUp(in bool) {
+	var carry uint64
+	if in {
+		carry = 1
+	}
+	for i, w := range v.words {
+		v.words[i] = w<<1 | carry
+		carry = w >> (wordBits - 1)
+	}
+	if tail := uint(v.n) % wordBits; tail != 0 {
+		v.words[len(v.words)-1] &= 1<<tail - 1
+	}
+}
+
 // Clone returns an independent copy of v.
 func (v Vec) Clone() Vec {
 	w := Vec{n: v.n, words: make([]uint64, len(v.words))}

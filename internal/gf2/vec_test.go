@@ -148,3 +148,25 @@ func TestVecAnd(t *testing.T) {
 		t.Errorf("And = %s, want 1000", a.String())
 	}
 }
+
+// ShiftUp must equal the bit-by-bit shift at every width, in particular
+// across word boundaries and at a partial tail word, whose bits beyond Len
+// must stay clear (Equal and PopCount read whole words).
+func TestVecShiftUpMatchesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, n := range []int{1, 3, 8, 63, 64, 65, 127, 128, 129, 320, 324, 400} {
+		v := randVec(rng, n)
+		for step := 0; step < 3*n; step++ {
+			in := rng.Intn(2) == 1
+			want := NewVec(n)
+			for i := n - 1; i > 0; i-- {
+				want.Set(i, v.Get(i-1))
+			}
+			want.Set(0, in)
+			v.ShiftUp(in)
+			if !v.Equal(want) || v.PopCount() != want.PopCount() {
+				t.Fatalf("n=%d step %d: ShiftUp %s, want %s", n, step, v, want)
+			}
+		}
+	}
+}

@@ -5,8 +5,9 @@
 // construction:
 //
 //   - a concrete LFSR that steps a bit state (what the chip does), and
-//   - a symbolic LFSR that steps GF(2) linear expressions over the seed
-//     bits (what the attacker models, paper Fig. 4 / Algorithm 1).
+//   - the symbolic unrolling (Unroll), which writes every state bit at
+//     every step as a GF(2) linear expression over the seed bits (what
+//     the attacker models, paper Fig. 4 / Algorithm 1).
 //
 // The attacker is assumed to know the feedback polynomial — it is read off
 // the reverse-engineered netlist — but not the seed stored in tamper-proof
@@ -149,18 +150,19 @@ func (l *LFSR) State() gf2.Vec { return l.state.Clone() }
 // Bit returns state bit i without stepping.
 func (l *LFSR) Bit(i int) bool { return l.state.Get(i) }
 
-// Step advances the register by one clock cycle.
+// View returns the current state without copying. The vector aliases the
+// register: it is read-only and follows later steps until the next Seed.
+func (l *LFSR) View() gf2.Vec { return l.state }
+
+// Step advances the register by one clock cycle, a word at a time: the
+// feedback parity is read off the packed state and the state shifts up.
 func (l *LFSR) Step() {
-	fb := false
+	w := l.state.Words()
+	var fb uint64
 	for _, t := range l.poly.Taps {
-		if l.state.Get(t - 1) {
-			fb = !fb
-		}
+		fb ^= w[(t-1)/64] >> (uint(t-1) % 64)
 	}
-	for i := l.poly.N - 1; i > 0; i-- {
-		l.state.Set(i, l.state.Get(i-1))
-	}
-	l.state.Set(0, fb)
+	l.state.ShiftUp(fb&1 == 1)
 }
 
 // StepN advances the register by n cycles.
@@ -182,57 +184,55 @@ func (p Poly) TransitionMatrix() *gf2.Mat {
 	return m
 }
 
-// Symbolic steps the register symbolically: each state bit is a GF(2)
-// linear combination of the seed bits. At construction, bit i equals seed
-// bit i (the identity).
-type Symbolic struct {
-	poly Poly
-	rows []gf2.Vec // rows[i] = expression of state bit i over the seed
+// Unrolled is the symbolic key stream of a Fibonacci LFSR: every state bit
+// after t steps as a GF(2) linear combination of the seed bits (paper
+// Fig. 4 / Algorithm 1). The register only shifts, so bit i after t steps
+// is the feedback bit produced i steps earlier, or seed bit i−t while
+// t < i. One vector per step therefore describes every state:
+//
+//	f[k−1−i]   = e_i                        (the seed, i in [0,k))
+//	f[k−1+u]   = ⊕_taps f[k−1+u−tap]        (feedback of step u ≥ 1)
+//	row(t, i)  = f[t−i+k−1]
+//
+// which takes O((T+k)·k) bits for T steps instead of T state matrices.
+type Unrolled struct {
+	n, steps int
+	seq      []gf2.Vec // seq[t-i+n-1] = expression of bit i after t steps
 }
 
-// NewSymbolic returns a symbolic register initialized to the seed identity.
-func NewSymbolic(p Poly) (*Symbolic, error) {
+// Unroll returns the symbolic states of the register for step counts
+// 0..steps.
+func Unroll(p Poly, steps int) (*Unrolled, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Symbolic{poly: p, rows: make([]gf2.Vec, p.N)}
-	for i := range s.rows {
-		s.rows[i] = gf2.Unit(p.N, i)
+	if steps < 0 {
+		return nil, fmt.Errorf("lfsr: negative step count %d", steps)
 	}
-	return s, nil
+	k := p.N
+	seq := make([]gf2.Vec, k+steps)
+	for i := 0; i < k; i++ {
+		seq[k-1-i] = gf2.Unit(k, i)
+	}
+	for j := k; j < len(seq); j++ {
+		f := gf2.NewVec(k)
+		for _, tap := range p.Taps {
+			f.Xor(seq[j-tap])
+		}
+		seq[j] = f
+	}
+	return &Unrolled{n: k, steps: steps, seq: seq}, nil
 }
 
-// Step advances the symbolic state by one cycle.
-func (s *Symbolic) Step() {
-	fb := gf2.NewVec(s.poly.N)
-	for _, t := range s.poly.Taps {
-		fb.Xor(s.rows[t-1])
-	}
-	copy(s.rows[1:], s.rows[:len(s.rows)-1])
-	s.rows[0] = fb
-}
+// Steps returns the largest step count Row accepts.
+func (u *Unrolled) Steps() int { return u.steps }
 
-// Row returns the seed-expression of state bit i at the current cycle.
-// The returned vector is a copy.
-func (s *Symbolic) Row(i int) gf2.Vec { return s.rows[i].Clone() }
-
-// StateMatrix returns the current state as a matrix M with
-// state(t) = M·seed. Row i is the expression of bit i.
-func (s *Symbolic) StateMatrix() *gf2.Mat {
-	return gf2.FromRows(s.rows)
-}
-
-// UnrollStates returns the symbolic state matrices for cycles 0..cycles-1:
-// out[t]·seed = register state during cycle t (out[0] = identity).
-func UnrollStates(p Poly, cycles int) ([]*gf2.Mat, error) {
-	s, err := NewSymbolic(p)
-	if err != nil {
-		return nil, err
+// Row returns the seed expression of state bit i after t steps: the
+// register bit equals Row(t, i)·seed. The vector is shared between the
+// (t, i) pairs it describes and must not be modified.
+func (u *Unrolled) Row(t, i int) gf2.Vec {
+	if t < 0 || t > u.steps || i < 0 || i >= u.n {
+		panic(fmt.Sprintf("lfsr: row (%d, %d) outside %d steps of width %d", t, i, u.steps, u.n))
 	}
-	out := make([]*gf2.Mat, cycles)
-	for t := 0; t < cycles; t++ {
-		out[t] = s.StateMatrix()
-		s.Step()
-	}
-	return out, nil
+	return u.seq[t-i+u.n-1]
 }

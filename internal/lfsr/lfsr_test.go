@@ -87,29 +87,98 @@ func TestZeroStateFixedPoint(t *testing.T) {
 	}
 }
 
-// The symbolic register must agree with the concrete register for every
-// cycle and every seed: state(t) = M(t)·seed.
+// unrollWidths are the register widths the unroll and step tests cover:
+// small, around the 64-bit word boundaries, and the wide keys the attack
+// benchmarks use.
+var unrollWidths = []int{3, 8, 63, 64, 65, 127, 128, 320, 324, 400}
+
+// refStep is the bit-by-bit Fibonacci step: the reference the word-level
+// LFSR.Step must reproduce.
+func refStep(p Poly, state gf2.Vec) {
+	fb := false
+	for _, t := range p.Taps {
+		if state.Get(t - 1) {
+			fb = !fb
+		}
+	}
+	for i := p.N - 1; i > 0; i-- {
+		state.Set(i, state.Get(i-1))
+	}
+	state.Set(0, fb)
+}
+
+// The symbolic unrolling must agree with the concrete register for every
+// step and every bit: state(t)[i] = Row(t, i)·seed.
 func TestSymbolicMatchesConcrete(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{3, 8, 16, 37, 128} {
+	for _, n := range unrollWidths {
 		p := DefaultPoly(n)
-		mats, err := UnrollStates(p, 3*n+5)
+		steps := 3*n + 5
+		u, err := Unroll(p, steps)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if u.Steps() != steps {
+			t.Fatalf("n=%d: Steps() = %d, want %d", n, u.Steps(), steps)
 		}
 		for trial := 0; trial < 5; trial++ {
 			seed := randSeed(rng, n)
 			l := MustNew(p)
 			l.Seed(seed)
-			for tcyc, m := range mats {
-				want := l.State()
-				got := m.MulVec(seed)
-				if !got.Equal(want) {
-					t.Fatalf("n=%d cycle=%d: symbolic %s != concrete %s", n, tcyc, got, want)
+			for tcyc := 0; tcyc <= steps; tcyc++ {
+				state := l.View()
+				for i := 0; i < n; i++ {
+					if u.Row(tcyc, i).Dot(seed) != state.Get(i) {
+						t.Fatalf("n=%d step=%d bit=%d: symbolic != concrete", n, tcyc, i)
+					}
 				}
 				l.Step()
 			}
 		}
+	}
+}
+
+// The word-level Step must equal the bit-by-bit reference at every width,
+// including widths whose tail word is partial: a bit shifted past N must
+// not survive in the packed state.
+func TestStepMatchesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range unrollWidths {
+		p := DefaultPoly(n)
+		seed := randSeed(rng, n)
+		l := MustNew(p)
+		l.Seed(seed)
+		ref := seed.Clone()
+		for step := 0; step < 3*n+5; step++ {
+			l.Step()
+			refStep(p, ref)
+			if !l.State().Equal(ref) || l.View().PopCount() != ref.PopCount() {
+				t.Fatalf("n=%d step %d: Step %s, want %s", n, step, l.State(), ref)
+			}
+		}
+	}
+}
+
+func TestUnrollRejectsInvalid(t *testing.T) {
+	if _, err := Unroll(Poly{N: 3, Taps: []int{2}}, 4); err == nil {
+		t.Fatal("want error for invalid polynomial")
+	}
+	if _, err := Unroll(DefaultPoly(8), -1); err == nil {
+		t.Fatal("want error for negative steps")
+	}
+	u, err := Unroll(DefaultPoly(8), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rc := range [][2]int{{5, 0}, {-1, 0}, {0, 8}, {0, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Row(%d, %d): want panic", rc[0], rc[1])
+				}
+			}()
+			u.Row(rc[0], rc[1])
+		}()
 	}
 }
 
@@ -133,22 +202,26 @@ func TestTransitionMatrix(t *testing.T) {
 	}
 }
 
-// M(t) must equal L^t for all t, tying the two symbolic views together.
+// Row(t, ·) must equal the rows of L^t for all t, tying the two symbolic
+// views together.
 func TestUnrollMatchesMatrixPower(t *testing.T) {
-	p := DefaultPoly(16)
-	L := p.TransitionMatrix()
-	mats, err := UnrollStates(p, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	power := gf2.Identity(16)
-	for tcyc, m := range mats {
-		for i := 0; i < 16; i++ {
-			if !m.Row(i).Equal(power.Row(i)) {
-				t.Fatalf("cycle %d row %d: M(t) != L^t", tcyc, i)
-			}
+	for _, n := range unrollWidths {
+		p := DefaultPoly(n)
+		L := p.TransitionMatrix()
+		steps := 3 * n
+		u, err := Unroll(p, steps)
+		if err != nil {
+			t.Fatal(err)
 		}
-		power = L.Mul(power)
+		power := gf2.Identity(n)
+		for tcyc := 0; tcyc <= steps; tcyc++ {
+			for i := 0; i < n; i++ {
+				if !u.Row(tcyc, i).Equal(power.Row(i)) {
+					t.Fatalf("n=%d step %d row %d: Row(t, i) != L^t", n, tcyc, i)
+				}
+			}
+			power = L.Mul(power)
+		}
 	}
 }
 
@@ -172,12 +245,16 @@ func TestNewRejectsInvalid(t *testing.T) {
 // property that lets larger circuits pin down the unique seed.
 func TestUnrolledStatesFullRank(t *testing.T) {
 	for _, n := range []int{128, 144, 256, 368} {
-		p := DefaultPoly(n)
-		mats, err := UnrollStates(p, 2)
+		u, err := Unroll(DefaultPoly(n), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stacked := gf2.VStack(mats[0], mats[1])
+		stacked := gf2.NewMat(0, n)
+		for tcyc := 0; tcyc <= 1; tcyc++ {
+			for i := 0; i < n; i++ {
+				stacked.AppendRow(u.Row(tcyc, i))
+			}
+		}
 		if gf2.Rank(stacked) != n {
 			t.Errorf("width %d: unrolled states rank-deficient", n)
 		}
@@ -195,8 +272,9 @@ func BenchmarkStep128(b *testing.B) {
 
 func BenchmarkUnroll128x3500(b *testing.B) {
 	p := DefaultPoly(128)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := UnrollStates(p, 3500); err != nil {
+		if _, err := Unroll(p, 3500); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,6 +16,9 @@ type Register interface {
 	Step()
 	// State returns a copy of the current state.
 	State() gf2.Vec
+	// View returns the current state without copying: read-only, and
+	// valid until the next Seed.
+	View() gf2.Vec
 	// N returns the register width.
 	N() int
 }
@@ -89,6 +92,9 @@ func (r *NLFSR) Seed(seed gf2.Vec) {
 // State returns a copy of the current state.
 func (r *NLFSR) State() gf2.Vec { return r.state.Clone() }
 
+// View returns the current state without copying (see Register).
+func (r *NLFSR) View() gf2.Vec { return r.state }
+
 // Step advances one cycle.
 func (r *NLFSR) Step() {
 	fb := false
@@ -102,8 +108,5 @@ func (r *NLFSR) Step() {
 			fb = !fb
 		}
 	}
-	for i := r.poly.N - 1; i > 0; i-- {
-		r.state.Set(i, r.state.Get(i-1))
-	}
-	r.state.Set(0, fb)
+	r.state.ShiftUp(fb)
 }

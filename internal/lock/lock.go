@@ -162,11 +162,15 @@ func (d *Design) KeyRegisterAt(patIdx, cycle int) (*gf2.Mat, error) {
 	if d.Config.Policy == scan.Static {
 		return gf2.Identity(d.Config.KeyBits), nil
 	}
-	mats, err := lfsr.UnrollStates(d.Config.Poly, steps+1)
+	u, err := lfsr.Unroll(d.Config.Poly, steps)
 	if err != nil {
 		return nil, err
 	}
-	return mats[steps], nil
+	rows := make([]gf2.Vec, d.Config.KeyBits)
+	for i := range rows {
+		rows[i] = u.Row(steps, i)
+	}
+	return gf2.FromRows(rows), nil
 }
 
 // Describe renders a human-readable summary of the locked design, in the

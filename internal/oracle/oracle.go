@@ -6,9 +6,11 @@
 //
 // The scan session is simulated cycle by cycle (shift register moves,
 // key gates XOR, LFSR steps), deliberately *not* reusing the closed-form
-// mask algebra of internal/scan. Property tests in internal/core assert
-// the attacker's combinational model reproduces this simulation bit for
-// bit, which validates Algorithm 1.
+// mask algebra of internal/scan. Each cycle runs on packed words: the
+// chain shifts as one bit vector, each key gate whose key bit is set flips
+// one bit of it, and the key register is read in place. Property tests in
+// internal/core assert the attacker's combinational model reproduces this
+// simulation bit for bit, which validates Algorithm 1.
 package oracle
 
 import (
@@ -36,15 +38,13 @@ type Chip struct {
 
 	secretSeed gf2.Vec // LFSR seed (dynamic) or static key register value
 	authKey    []bool  // SK: the externally matched test key (Fig. 2)
+	authVec    gf2.Vec // authKey packed, the key gates' input on a match
 
 	reg         lfsr.Register
 	lfsrSteps   int
-	flops       []bool
+	flops       gf2.Vec // the scan chain; bit j is flop j
 	globalCycle int
 	patterns    int
-
-	// linkBits[j] lists the key-register bits XORed on link j.
-	linkBits [][]int
 
 	Stats Stats
 
@@ -80,11 +80,8 @@ func New(d *lock.Design, secretSeed gf2.Vec, authKey []bool) (*Chip, error) {
 		seq:        seq,
 		secretSeed: secretSeed.Clone(),
 		authKey:    append([]bool(nil), authKey...),
-		flops:      make([]bool, d.Chain.Length),
-		linkBits:   make([][]int, d.Chain.Length),
-	}
-	for _, g := range d.Chain.Gates {
-		c.linkBits[g.Link] = append(c.linkBits[g.Link], g.KeyBit)
+		authVec:    gf2.FromBools(authKey),
+		flops:      gf2.NewVec(d.Chain.Length),
 	}
 	if d.Config.Policy != scan.Static {
 		reg, err := d.NewRegister()
@@ -115,9 +112,7 @@ func (c *Chip) SetSessionHook(h func(cycles uint64)) (prev func(cycles uint64)) 
 // Reset asserts the chip reset: flip-flops clear, the PRNG reloads the
 // secret seed, and the pattern/cycle counters restart.
 func (c *Chip) Reset() {
-	for i := range c.flops {
-		c.flops[i] = false
-	}
+	clear(c.flops.Words())
 	if c.reg != nil {
 		c.reg.Seed(c.secretSeed)
 	}
@@ -129,17 +124,18 @@ func (c *Chip) Reset() {
 
 // keyRegister returns the key-register value effective at the current
 // global cycle, honoring the update policy. The register is the LFSR state
-// for dynamic policies and the static secret for Static.
-func (c *Chip) keyRegister() []bool {
+// for dynamic policies and the static secret for Static. The vector is
+// read in place: it is valid until the register next steps or reseeds.
+func (c *Chip) keyRegister() gf2.Vec {
 	if c.design.Config.Policy == scan.Static {
-		return c.secretSeed.Bools()
+		return c.secretSeed
 	}
 	target := c.design.Config.Policy.Steps(c.patterns, c.globalCycle, c.design.Config.Period)
 	// The LFSR only runs forward; Reset is the only rewind.
 	for ; c.lfsrSteps < target; c.lfsrSteps++ {
 		c.reg.Step()
 	}
-	return c.reg.State().Bools()
+	return c.reg.View()
 }
 
 // Session runs one scan test session: shift in scanIn (bit j destined for
@@ -176,9 +172,9 @@ func (c *Chip) SessionN(testKey, scanIn []bool, pis [][]bool) (scanOut []bool, p
 	match := len(testKey) == len(c.authKey) && constantTimeEqual(testKey, c.authKey)
 	cyclesBefore := c.Stats.Cycles
 
-	key := func() []bool {
+	key := func() gf2.Vec {
 		if match {
-			return c.authKey
+			return c.authVec
 		}
 		return c.keyRegister()
 	}
@@ -189,17 +185,17 @@ func (c *Chip) SessionN(testKey, scanIn []bool, pis [][]bool) (scanOut []bool, p
 		c.tick()
 	}
 	// Capture edges: key gates idle for scan data; the PRNG still clocks.
-	c.seq.SetState(c.flops)
+	c.seq.SetState(c.flops.Bools())
 	for _, pi := range pis {
 		pos = append(pos, c.seq.Step(pi))
 		c.tick()
 	}
-	copy(c.flops, c.seq.State())
+	c.flops = gf2.FromBools(c.seq.State())
 	// Shift-out: observe before each edge.
 	scanOut = make([]bool, n)
 	first := n + len(pis)
 	for t := first; t < first+n; t++ {
-		scanOut[first+n-1-t] = c.flops[n-1]
+		scanOut[first+n-1-t] = c.flops.Get(n - 1)
 		c.shiftEdge(false, key())
 		c.tick()
 	}
@@ -211,20 +207,17 @@ func (c *Chip) SessionN(testKey, scanIn []bool, pis [][]bool) (scanOut []bool, p
 	return scanOut, pos
 }
 
-// shiftEdge moves the scan chain one position, applying key-gate XORs on
-// every link, and feeds si into flop 0.
-func (c *Chip) shiftEdge(si bool, key []bool) {
-	n := c.design.Chain.Length
-	for j := n - 1; j >= 1; j-- {
-		v := c.flops[j-1]
-		for _, bit := range c.linkBits[j] {
-			if key[bit] {
-				v = !v
-			}
+// shiftEdge moves the scan chain one position, feeding si into flop 0,
+// then applies the key gates: a gate on link j whose key bit is set flips
+// the bit that just crossed into flop j.
+func (c *Chip) shiftEdge(si bool, key gf2.Vec) {
+	c.flops.ShiftUp(si)
+	kw, fw := key.Words(), c.flops.Words()
+	for _, g := range c.design.Chain.Gates {
+		if kw[g.KeyBit/64]>>(uint(g.KeyBit)%64)&1 != 0 {
+			fw[g.Link/64] ^= 1 << (uint(g.Link) % 64)
 		}
-		c.flops[j] = v
 	}
-	c.flops[0] = si
 }
 
 func (c *Chip) tick() {
@@ -256,9 +249,9 @@ func boolByte(b bool) byte {
 // advances. Included for completeness of the chip model; the attack itself
 // only needs Session.
 func (c *Chip) FunctionalStep(pi []bool) (po []bool) {
-	c.seq.SetState(c.flops)
+	c.seq.SetState(c.flops.Bools())
 	po = c.seq.Step(pi)
-	copy(c.flops, c.seq.State())
+	c.flops = gf2.FromBools(c.seq.State())
 	c.tick()
 	return po
 }

@@ -132,6 +132,8 @@ type Solver struct {
 	// clause LBD (fast/slow) and of trail size at conflicts.
 	lbdFast, lbdSlow float64
 	trailAvg         float64
+	levelStamp       []uint32 // lbd scratch, indexed by decision level
+	lbdEpoch         uint32
 
 	model    []bool
 	conflict []cnf.Lit // final conflict clause over assumptions
@@ -614,12 +616,27 @@ func (s *Solver) analyzeFinal(p cnf.Lit) {
 	s.seen[p.Var()] = 0
 }
 
+// lbd returns the literal block distance of lits: the number of distinct
+// decision levels among their variables. Level l counts once per call:
+// levelStamp[l] is set to the call's epoch when l is first met.
 func (s *Solver) lbd(lits []cnf.Lit) int32 {
-	levels := map[int32]struct{}{}
-	for _, l := range lits {
-		levels[s.level[l.Var()]] = struct{}{}
+	s.lbdEpoch++
+	if s.lbdEpoch == 0 { // wrapped: clear stale stamps
+		clear(s.levelStamp)
+		s.lbdEpoch = 1
 	}
-	return int32(len(levels))
+	var n int32
+	for _, l := range lits {
+		lv := int(s.level[l.Var()])
+		if lv >= len(s.levelStamp) {
+			s.levelStamp = append(s.levelStamp, make([]uint32, lv+1-len(s.levelStamp))...)
+		}
+		if s.levelStamp[lv] != s.lbdEpoch {
+			s.levelStamp[lv] = s.lbdEpoch
+			n++
+		}
+	}
+	return n
 }
 
 func (s *Solver) reduceDB() {

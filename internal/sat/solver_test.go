@@ -373,3 +373,42 @@ func BenchmarkSolveRandom3SAT(b *testing.B) {
 		s.Solve()
 	}
 }
+
+// lbd must count the distinct decision levels of a clause exactly as a map
+// over the levels does, across many calls sharing the stamp slice and
+// across a wrap of the epoch counter.
+func TestLBDMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	s := New()
+	const vars = 300
+	for i := 0; i < vars; i++ {
+		s.NewVar()
+	}
+	for call := 0; call < 3000; call++ {
+		maxLevel := 1 + rng.Intn(200)
+		for v := 0; v < vars; v++ {
+			s.level[v] = int32(rng.Intn(maxLevel))
+		}
+		lits := make([]cnf.Lit, 1+rng.Intn(40))
+		for i := range lits {
+			lits[i] = lit(rng.Intn(vars), rng.Intn(2) == 1)
+		}
+		want := map[int32]bool{}
+		for _, l := range lits {
+			want[s.level[l.Var()]] = true
+		}
+		if got := s.lbd(lits); got != int32(len(want)) {
+			t.Fatalf("call %d: lbd = %d, want %d", call, got, len(want))
+		}
+	}
+	// When the epoch wraps, stamps left by an earlier call with the new
+	// epoch's value must not count as this call's levels.
+	lits := []cnf.Lit{lit(0, false), lit(1, true), lit(2, false)}
+	s.level[0], s.level[1], s.level[2] = 3, 5, 3
+	s.lbdEpoch = 0
+	first := s.lbd(lits) // stamps levels 3 and 5 with epoch 1
+	s.lbdEpoch = ^uint32(0)
+	if got := s.lbd(lits); first != 2 || got != first {
+		t.Fatalf("across the epoch wrap: lbd = %d then %d, want 2 both times", first, got)
+	}
+}
