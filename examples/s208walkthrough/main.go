@@ -8,10 +8,14 @@
 // runs DynUnlock to recover the seed.
 //
 //	go run ./examples/s208walkthrough
+//
+// The output is deterministic; main_test.go compares it with
+// testdata/output.golden.
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -26,71 +30,79 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the walkthrough to w.
+func run(w io.Writer) error {
 	n := bench.S208F()
-	fmt.Println("circuit:", n.Stats())
+	fmt.Fprintln(w, "circuit:", n.Stats())
 
 	design, err := lock.Lock(n, lock.Config{KeyBits: 3, Policy: scan.PerCycle})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Fig. 1 placement: key gates after flops 1, 2, and 5.
 	design.Chain.Gates = []scan.KeyGate{
 		{Link: 1, KeyBit: 0}, {Link: 2, KeyBit: 1}, {Link: 5, KeyBit: 2},
 	}
 
-	fmt.Println("\n--- Fig. 1: obfuscated scan chain ---")
-	fmt.Println(chainDiagram(design.Chain))
+	fmt.Fprintln(w, "\n--- Fig. 1: obfuscated scan chain ---")
+	fmt.Fprintln(w, chainDiagram(design.Chain))
 
-	fmt.Println("--- LFSR key schedule (seed bits s0, s1, s2) ---")
-	fmt.Printf("polynomial: width %d, taps %v\n", design.Config.Poly.N, design.Config.Poly.Taps)
+	fmt.Fprintln(w, "--- LFSR key schedule (seed bits s0, s1, s2) ---")
+	fmt.Fprintf(w, "polynomial: width %d, taps %v\n", design.Config.Poly.N, design.Config.Poly.Taps)
 	states, err := lfsr.Unroll(design.Config.Poly, 5)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for t := 0; t <= states.Steps(); t++ {
 		terms := make([]string, 3)
 		for b := 0; b < 3; b++ {
 			terms[b] = seedExpr(states.Row(t, b))
 		}
-		fmt.Printf("cycle %d: k0=%-10s k1=%-10s k2=%s\n", t, terms[0], terms[1], terms[2])
+		fmt.Fprintf(w, "cycle %d: k0=%-10s k1=%-10s k2=%s\n", t, terms[0], terms[1], terms[2])
 	}
 
-	fmt.Println("\n--- Algorithm 1: closed-form masks ---")
+	fmt.Fprintln(w, "\n--- Algorithm 1: closed-form masks ---")
 	model, err := core.BuildModel(design, 0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for j := 0; j < design.Chain.Length; j++ {
-		fmt.Printf("a'%d = a%d ^ (%s)    b%d = b'%d ^ (%s)\n",
+		fmt.Fprintf(w, "a'%d = a%d ^ (%s)    b%d = b'%d ^ (%s)\n",
 			j, j, seedExpr(model.A.Row(j)), j, j, seedExpr(model.B.Row(j)))
 	}
-	fmt.Printf("rank[A;B] = %d of %d seed bits -> predicted candidates = 2^%d\n",
+	fmt.Fprintf(w, "rank[A;B] = %d of %d seed bits -> predicted candidates = 2^%d\n",
 		model.Rank(), 3, model.PredictedCandidatesLog2())
 
-	fmt.Println("\n--- Fig. 4: combinational locked model (.bench) ---")
-	if err := model.Netlist.WriteBench(os.Stdout); err != nil {
-		log.Fatal(err)
+	fmt.Fprintln(w, "\n--- Fig. 4: combinational locked model (.bench) ---")
+	if err := model.Netlist.WriteBench(w); err != nil {
+		return err
 	}
 
 	// Fabricate with the walkthrough seed 101 and attack.
 	seed := gf2.FromBools([]bool{true, false, true})
 	chip, err := oracle.New(design, seed, []bool{true, true, false})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\n--- DynUnlock attack ---")
-	res, err := core.Attack(chip, core.Options{EnumerateLimit: 8, Log: os.Stdout})
+	fmt.Fprintln(w, "\n--- DynUnlock attack ---")
+	res, err := core.Attack(chip, core.Options{EnumerateLimit: 8, Log: w})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("iterations=%d candidates=%d exact=%v\n", res.Iterations, len(res.SeedCandidates), res.Exact)
+	fmt.Fprintf(w, "iterations=%d candidates=%d exact=%v\n", res.Iterations, len(res.SeedCandidates), res.Exact)
 	for _, c := range res.SeedCandidates {
 		marker := ""
 		if c.Equal(seed) {
 			marker = "   <- the programmed secret"
 		}
-		fmt.Printf("  candidate seed %s%s\n", c, marker)
+		fmt.Fprintf(w, "  candidate seed %s%s\n", c, marker)
 	}
+	return nil
 }
 
 // chainDiagram draws the scan chain with its key gates.

@@ -156,33 +156,53 @@ type Result struct {
 }
 
 // ChipOracle adapts a scan session on the real chip to the combinational
-// model's I/O interface: model inputs (pi, a) map to one reset + session;
-// model outputs are (po, observed scan-out).
+// model's I/O interface: model inputs (pi blocks, a) map to one reset +
+// session with Captures capture cycles; model outputs are (po of each
+// capture, observed scan-out).
 type ChipOracle struct {
 	Chip    Chip
 	TestKey []bool
+	// Captures is the number of capture cycles per session (<= 1 runs one).
+	Captures int
 	// Sessions counts queries issued through this adapter.
 	Sessions int
 }
 
-// NewChipOracle builds the adapter; nil testKey selects all zeros.
+// NewChipOracle builds a one-capture adapter; nil testKey selects all
+// zeros.
 func NewChipOracle(chip Chip, testKey []bool) *ChipOracle {
 	if testKey == nil {
 		testKey = make([]bool, chip.Design().Config.KeyBits)
 	}
-	return &ChipOracle{Chip: chip, TestKey: testKey}
+	return &ChipOracle{Chip: chip, TestKey: testKey, Captures: 1}
 }
 
 // Query implements satattack.Oracle.
 func (o *ChipOracle) Query(in []bool) []bool {
-	d := o.Chip.Design()
-	numPI := d.View.NumPI
-	pi := in[:numPI]
-	a := in[numPI:]
-	o.Chip.Reset()
-	scanOut, po := o.Chip.Session(o.TestKey, a, pi)
+	numPI := o.Chip.Design().View.NumPI
+	pis := make([][]bool, max(o.Captures, 1))
+	for c := range pis {
+		pis[c] = in[c*numPI : (c+1)*numPI]
+	}
+	scanOut, po := session(o.Chip, o.TestKey, in[len(pis)*numPI:], pis)
 	o.Sessions++
 	return append(append([]bool(nil), po...), scanOut...)
+}
+
+// session resets the chip and runs one scan session with len(pis) capture
+// cycles, returning the scan-out and the POs of every capture in order. A
+// one-capture session goes through Chip.Session, the call that timing
+// wrappers around a Chip observe.
+func session(chip Chip, testKey, scanIn []bool, pis [][]bool) (scanOut, po []bool) {
+	chip.Reset()
+	if len(pis) == 1 {
+		return chip.Session(testKey, scanIn, pis[0])
+	}
+	scanOut, pos := chip.SessionN(testKey, scanIn, pis)
+	for _, p := range pos {
+		po = append(po, p...)
+	}
+	return scanOut, po
 }
 
 // Attack runs DynUnlock end to end against a chip the attacker owns:
@@ -201,6 +221,24 @@ func Attack(chip Chip, opts Options) (*Result, error) {
 // verify. With a background context and no sink, behavior is bit-identical
 // to the unbounded sequential attack.
 func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
+	return AttackMultiCtx(ctx, chip, 1, opts)
+}
+
+// AttackMulti runs the DynUnlock attack on sessions with the given number
+// of consecutive capture cycles: the model unrolls the core once per
+// capture, and its scan-out masks B differ from the single-capture ones, so
+// the recovered class can be intersected with a single-capture attack's to
+// prune rank-deficient cases, as the paper's "second capture" refinement
+// describes. AttackMulti is AttackMultiCtx under context.Background().
+func AttackMulti(chip Chip, captures int, opts Options) (*Result, error) {
+	return AttackMultiCtx(context.Background(), chip, captures, opts)
+}
+
+// AttackMultiCtx is AttackMulti with cancellation and tracing; AttackCtx is
+// its one-capture case. Every oracle query and verify probe is a session
+// with captures capture cycles. opts.Insight is used only with one capture:
+// the tracker linearizes one-capture responses.
+func AttackMultiCtx(ctx context.Context, chip Chip, captures int, opts Options) (*Result, error) {
 	tr := trace.From(ctx)
 	start := time.Now()
 	d := chip.Design()
@@ -230,91 +268,71 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 	})
 	defer chip.SetSessionHook(prevHook)
 
-	adapter := NewChipOracle(chip, opts.TestKey)
-	saOpts := opts.engineOptions()
-
-	// A and B are the session-0 masks of the model the attack builds; the
-	// verify stage reuses them rather than unrolling the register again.
-	var A, B *gf2.Mat
-	res := &Result{Mode: opts.Mode}
-	switch opts.Mode {
-	case ModeDirect:
-		unroll := tr.Start("unroll")
-		model, err := BuildModel(d, 0)
-		if err != nil {
-			unroll.End()
-			return nil, err
-		}
-		A, B = model.A, model.B
-		res.Rank = model.Rank()
-		res.PredictedLog2 = model.PredictedCandidatesLog2()
-		unroll.Add("key_bits", uint64(d.Config.KeyBits))
-		unroll.Add("rank", uint64(res.Rank))
+	unroll := tr.Start("unroll")
+	model, err := buildModel(d, 0, captures, opts.Mode)
+	if err != nil {
 		unroll.End()
-		if opts.Log != nil {
-			fmt.Fprintf(opts.Log, "direct model: %s; rank[A;B]=%d predicted candidates=2^%d\n",
-				model.Netlist.Stats(), res.Rank, res.PredictedLog2)
+		return nil, err
+	}
+	res := &Result{Mode: opts.Mode, Rank: model.Rank(), PredictedLog2: model.PredictedCandidatesLog2()}
+	unroll.Add("captures", uint64(captures))
+	unroll.Add("key_bits", uint64(d.Config.KeyBits))
+	unroll.Add("rank", uint64(res.Rank))
+	unroll.End()
+	if opts.Log != nil {
+		kind := "mask"
+		if opts.Mode == ModeDirect {
+			kind = "direct"
 		}
-		// Direct mode searches the seed space itself: the tracker's
-		// seed-bit constraints are key-bit constraints verbatim.
+		fmt.Fprintf(opts.Log, "%s model: %s; rank[A;B]=%d predicted candidates=2^%d\n",
+			kind, model.Netlist.Stats(), res.Rank, res.PredictedLog2)
+	}
+
+	adapter := NewChipOracle(chip, opts.TestKey)
+	adapter.Captures = captures
+	saOpts := opts.engineOptions()
+	// Direct mode searches the seed space itself: the tracker's seed-bit
+	// constraints are key-bit constraints verbatim. Linear mode searches the
+	// mask space, so the rows are re-expressed over the mask key bits.
+	if opts.Insight != nil && captures == 1 {
 		saOpts.Insight = opts.Insight
-		saRes, err := satattack.RunCtx(ctx, model.Locked, adapter, saOpts)
-		if err != nil {
-			return nil, err
+		if opts.Mode != ModeDirect {
+			saOpts.Insight = newMaskInsight(model, opts.Insight)
 		}
-		res.setEngine(saRes)
+	}
+	saRes, err := satattack.RunCtx(ctx, model.Locked, adapter, saOpts)
+	if err != nil {
+		return nil, err
+	}
+	res.setEngine(saRes)
+	if opts.Mode == ModeDirect {
 		for _, c := range engineKeys(saRes) {
 			res.SeedCandidates = append(res.SeedCandidates, gf2.FromBools(c))
 		}
-
-	default: // ModeLinear
-		unroll := tr.Start("unroll")
-		mm, err := BuildMaskModel(d, 0)
-		if err != nil {
-			unroll.End()
-			return nil, err
-		}
-		A, B = mm.A, mm.B
-		res.Rank = gf2.Rank(gf2.VStack(A, B))
-		res.PredictedLog2 = d.Config.KeyBits - res.Rank
-		unroll.Add("key_bits", uint64(d.Config.KeyBits))
-		unroll.Add("rank", uint64(res.Rank))
-		unroll.End()
-		if opts.Log != nil {
-			fmt.Fprintf(opts.Log, "mask model: %s; rank[A;B]=%d predicted candidates=2^%d\n",
-				mm.Netlist.Stats(), res.Rank, res.PredictedLog2)
-		}
-		// Linear mode searches the mask space, so the tracker's seed-bit
-		// rows must be re-expressed over the mask key bits first.
-		if opts.Insight != nil {
-			saOpts.Insight = newMaskInsight(mm, opts.Insight)
-		}
-		saRes, err := satattack.RunCtx(ctx, mm.Locked, adapter, saOpts)
-		if err != nil {
-			return nil, err
-		}
-		res.setEngine(saRes)
-		res.refine(tr, mm, mm.MaskVector, engineKeys(saRes), opts.EnumerateLimit)
+	} else {
+		res.refine(tr, model, engineKeys(saRes), opts.EnumerateLimit)
 	}
-
 	res.Queries = adapter.Sessions
 
 	// Attacker-side verification: every candidate must reproduce the chip
-	// on fresh random sessions. A partial candidate set from a stopped run
-	// is still verified — the probes are closed-form, not SAT work.
+	// on fresh random sessions of the model's shape, predicted from the
+	// model's own masks. A partial candidate set from a stopped run is
+	// still verified — the probes are closed-form, not SAT work.
 	verify := tr.Start("verify")
-	v := newVerifier(d, A, B)
+	v := newVerifier(d, model.A, model.B)
 	res.Verified = len(res.SeedCandidates) > 0
 	rngProbe := newSplitMix(0x9e3779b97f4a7c15)
+	pis := make([][]bool, captures)
 	probes := 0
 	for p := 0; p < opts.VerifyProbes && res.Verified; p++ {
 		scanIn := randomBits(rngProbe, d.Chain.Length)
-		pi := randomBits(rngProbe, d.View.NumPI)
-		chip.Reset()
-		gotOut, gotPO := chip.Session(adapter.TestKey, scanIn, pi)
+		for c := range pis {
+			pis[c] = randomBits(rngProbe, d.View.NumPI)
+		}
+		gotOut, gotPO := session(chip, adapter.TestKey, scanIn, pis)
 		probes++
 		for _, seed := range res.SeedCandidates {
-			wantOut, wantPO := v.Session(seed, scanIn, pi)
+			wantOut, wantPO := v.session(seed, scanIn, pis)
 			if !eqBits(gotOut, wantOut) || !eqBits(gotPO, wantPO) {
 				res.Verified = false
 				break
@@ -345,9 +363,9 @@ func AttackCtx(ctx context.Context, chip Chip, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// engineOptions builds the satattack options every core attack shares.
-// Insight is left unset: each caller translates the seed-space source into
-// its own key space, or ignores it.
+// engineOptions builds the satattack options of an attack. Insight is left
+// unset: the attack translates the seed-space source into its model's key
+// space, or ignores it.
 func (opts Options) engineOptions() satattack.Options {
 	return satattack.Options{
 		Portfolio:      opts.Portfolio,
@@ -388,16 +406,16 @@ func engineKeys(sa *satattack.Result) [][]bool {
 }
 
 // refine maps recovered mask keys to seed candidates (the "refine" stage):
-// maskVector expands each key into its (u‖v) vector, and the seeds are
-// those whose single-capture masks [A;B]·s lie in the coset the keys span.
-// More than limit seeds truncates the set and clears Exact.
-func (res *Result) refine(tr *trace.Tracer, mm *MaskModel, maskVector func([]bool) gf2.Vec, masks [][]bool, limit int) {
+// each key expands into its (u‖v) vector, and the seeds are those whose
+// masks [A;B]·s lie in the coset the keys span. More than limit seeds
+// truncates the set and clears Exact.
+func (res *Result) refine(tr *trace.Tracer, model *Model, masks [][]bool, limit int) {
 	sp := tr.Start("refine")
 	members := make([]gf2.Vec, len(masks))
 	for i, mk := range masks {
-		members[i] = maskVector(mk)
+		members[i] = model.MaskVector(mk)
 	}
-	seeds := mm.SeedsForMaskCoset(members, limit+1)
+	seeds := model.SeedsForMaskCoset(members, limit+1)
 	if len(seeds) > limit {
 		seeds = seeds[:limit]
 		res.Exact = false
@@ -423,14 +441,15 @@ type Verifier struct {
 // (bit-identical to the gate-level stepper), falling back to it only if
 // compilation fails.
 func NewVerifier(d *lock.Design) (*Verifier, error) {
-	A, B, err := maskMatrices(d, 0)
+	A, B, err := MaskMatrices(d, 0)
 	if err != nil {
 		return nil, err
 	}
 	return newVerifier(d, A, B), nil
 }
 
-// newVerifier builds a verifier on session-0 masks A and B of d.
+// newVerifier builds a verifier on session-0 masks A and B of d; with the
+// masks of a multi-capture session it predicts sessions of that shape.
 func newVerifier(d *lock.Design, A, B *gf2.Mat) *Verifier {
 	seq, err := sim.NewSeqAIG(d.View)
 	if err != nil {
@@ -442,6 +461,12 @@ func newVerifier(d *lock.Design, A, B *gf2.Mat) *Verifier {
 // Session predicts (scanOut, po) of a session-0 scan session under the
 // given seed, using the closed-form masks.
 func (v *Verifier) Session(seed gf2.Vec, scanIn, pi []bool) (scanOut, po []bool) {
+	return v.session(seed, scanIn, [][]bool{pi})
+}
+
+// session predicts a session with len(pis) capture cycles, returning the
+// POs of every capture in order.
+func (v *Verifier) session(seed gf2.Vec, scanIn []bool, pis [][]bool) (scanOut, po []bool) {
 	n := v.d.Chain.Length
 	aMask := v.a.MulVec(seed)
 	bMask := v.b.MulVec(seed)
@@ -450,7 +475,10 @@ func (v *Verifier) Session(seed gf2.Vec, scanIn, pi []bool) (scanOut, po []bool)
 		aPrime[j] = scanIn[j] != aMask.Get(j)
 	}
 	v.seq.SetState(aPrime)
-	po = v.seq.Step(pi)
+	po = v.seq.Step(pis[0])
+	for _, pi := range pis[1:] {
+		po = append(po, v.seq.Step(pi)...)
+	}
 	bPrime := v.seq.State()
 	scanOut = make([]bool, n)
 	for j := 0; j < n; j++ {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"dynunlock/internal/gf2"
-	"dynunlock/internal/lock"
-	"dynunlock/internal/netlist"
 	"dynunlock/internal/satattack"
 )
 
@@ -43,152 +41,6 @@ func (m Mode) String() string {
 	}
 }
 
-// MaskModel is the mask-space combinational model: the key inputs are the
-// structurally used mask bits of (u, v) = (A·s, B·s) rather than the k seed
-// bits. Mask bits whose rows are zero (flops before the first key gate on
-// the way in, after the last on the way out) are hard-wired to zero and
-// excluded from the key space.
-type MaskModel struct {
-	Design *lock.Design
-	PatIdx int
-	A, B   *gf2.Mat
-	// UPos and VPos list the flop indices whose u (resp. v) mask bit is a
-	// key input, in key-vector order: the key vector is
-	// u[UPos[0]], …, u[UPos[last]], v[VPos[0]], …, v[VPos[last]].
-	UPos, VPos []int
-	// Netlist inputs: PIs, a0…a(n-1), then the used mask bits.
-	Netlist *netlist.Netlist
-	Locked  *satattack.Locked
-}
-
-// BuildMaskModel constructs the mask-space model for one capture session.
-func BuildMaskModel(d *lock.Design, patIdx int) (*MaskModel, error) {
-	if patIdx < 0 {
-		return nil, fmt.Errorf("core: negative pattern index")
-	}
-	A, B, err := maskMatrices(d, patIdx)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	n := d.Chain.Length
-	src := d.View
-	mm := &MaskModel{Design: d, PatIdx: patIdx, A: A, B: B}
-
-	m := netlist.New(fmt.Sprintf("%s-mask-model", d.Netlist.Name))
-	piIDs := make([]netlist.SignalID, src.NumPI)
-	for i := range piIDs {
-		piIDs[i], err = m.AddInput(fmt.Sprintf("pi%d", i))
-		if err != nil {
-			return nil, err
-		}
-	}
-	aIDs := make([]netlist.SignalID, n)
-	for j := range aIDs {
-		aIDs[j], err = m.AddInput(fmt.Sprintf("a%d", j))
-		if err != nil {
-			return nil, err
-		}
-	}
-	uIDs := make(map[int]netlist.SignalID)
-	for j := 0; j < n; j++ {
-		if !A.Row(j).IsZero() {
-			id, err := m.AddInput(fmt.Sprintf("u%d", j))
-			if err != nil {
-				return nil, err
-			}
-			uIDs[j] = id
-			mm.UPos = append(mm.UPos, j)
-		}
-	}
-	vIDs := make(map[int]netlist.SignalID)
-	for j := 0; j < n; j++ {
-		if !B.Row(j).IsZero() {
-			id, err := m.AddInput(fmt.Sprintf("v%d", j))
-			if err != nil {
-				return nil, err
-			}
-			vIDs[j] = id
-			mm.VPos = append(mm.VPos, j)
-		}
-	}
-
-	aPrime := make([]netlist.SignalID, n)
-	for j := 0; j < n; j++ {
-		if id, ok := uIDs[j]; ok {
-			ap, err := m.AddGate(fmt.Sprintf("ap%d", j), netlist.Xor, aIDs[j], id)
-			if err != nil {
-				return nil, err
-			}
-			aPrime[j] = ap
-		} else {
-			aPrime[j] = aIDs[j]
-		}
-	}
-	coreIn := make([]netlist.SignalID, len(src.Inputs))
-	copy(coreIn, piIDs)
-	copy(coreIn[src.NumPI:], aPrime)
-	coreOut, err := appendComb(m, src, coreIn)
-	if err != nil {
-		return nil, err
-	}
-	for _, po := range coreOut[:src.NumPO] {
-		m.MarkOutput(po)
-	}
-	bPrime := coreOut[src.NumPO:]
-	for j := 0; j < n; j++ {
-		if id, ok := vIDs[j]; ok {
-			b, err := m.AddGate(fmt.Sprintf("b%d", j), netlist.Xor, bPrime[j], id)
-			if err != nil {
-				return nil, err
-			}
-			m.MarkOutput(b)
-		} else {
-			m.MarkOutput(bPrime[j])
-		}
-	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("core: mask model invalid: %w", err)
-	}
-	view, err := netlist.NewCombView(m)
-	if err != nil {
-		return nil, err
-	}
-	nonKey := src.NumPI + n
-	locked := satattack.NewLocked(view, func(i int, _ netlist.SignalID) bool { return i >= nonKey })
-	if err := locked.Validate(); err != nil {
-		return nil, err
-	}
-	mm.Netlist = m
-	mm.Locked = locked
-	return mm, nil
-}
-
-// MaskVector expands a SAT key assignment (ordered per UPos then VPos) into
-// the full 2n-bit (u‖v) vector with structural zeros filled in.
-func (mm *MaskModel) MaskVector(key []bool) gf2.Vec {
-	n := mm.Design.Chain.Length
-	if len(key) != len(mm.UPos)+len(mm.VPos) {
-		panic(fmt.Sprintf("core: mask key length %d, want %d", len(key), len(mm.UPos)+len(mm.VPos)))
-	}
-	uv := gf2.NewVec(2 * n)
-	for i, j := range mm.UPos {
-		uv.Set(j, key[i])
-	}
-	for i, j := range mm.VPos {
-		uv.Set(n+j, key[len(mm.UPos)+i])
-	}
-	return uv
-}
-
-// SeedsForMask solves [A;B]·s = (u‖v) for the seeds consistent with one
-// recovered mask assignment, up to limit seeds. ok=false means the system
-// is inconsistent: the SAT equivalence class contained a mask outside the
-// LFSR-reachable space, and that candidate is pruned.
-func (mm *MaskModel) SeedsForMask(uv gf2.Vec, limit int) (seeds []gf2.Vec, ok bool) {
-	stacked := gf2.VStack(mm.A, mm.B)
-	return gf2.EnumerateSolutions(stacked, uv, limit)
-}
-
 // SeedsForMaskCoset recovers every seed whose mask lies in the coset
 // spanned by the recovered mask-class members: the class of functionally
 // equivalent masks is always m0 ⊕ V for a linear subspace V (mask
@@ -199,15 +51,15 @@ func (mm *MaskModel) SeedsForMask(uv gf2.Vec, limit int) (seeds []gf2.Vec, ok bo
 // where F is an echelon basis of the observed member differences. If the
 // member list is the complete class (exact enumeration), the result is the
 // complete seed-candidate set; a partial member list yields a sound subset.
-func (mm *MaskModel) SeedsForMaskCoset(members []gf2.Vec, limit int) []gf2.Vec {
+func (m *Model) SeedsForMaskCoset(members []gf2.Vec, limit int) []gf2.Vec {
 	if len(members) == 0 {
 		return nil
 	}
 	m0 := members[0]
 	// Basis of the difference space V: row-reduce the member differences.
 	diffs := gf2.NewMat(0, m0.Len())
-	for _, m := range members[1:] {
-		diffs.AppendRow(m.XorInto(m0))
+	for _, member := range members[1:] {
+		diffs.AppendRow(member.XorInto(m0))
 	}
 	var basis []gf2.Vec
 	if diffs.Rows() > 0 {
@@ -217,15 +69,15 @@ func (mm *MaskModel) SeedsForMaskCoset(members []gf2.Vec, limit int) []gf2.Vec {
 		}
 	}
 	// Augmented system: columns of [A;B] for s, columns of basis for t.
-	k := mm.Design.Config.KeyBits
-	rows := 2 * mm.Design.Chain.Length
+	k := m.Design.Config.KeyBits
+	rows := 2 * m.Design.Chain.Length
 	aug := gf2.NewMat(rows, k+len(basis))
-	for r := 0; r < mm.Design.Chain.Length; r++ {
-		for _, c := range mm.A.Row(r).Ones() {
+	for r := 0; r < m.Design.Chain.Length; r++ {
+		for _, c := range m.A.Row(r).Ones() {
 			aug.Set(r, c, true)
 		}
-		for _, c := range mm.B.Row(r).Ones() {
-			aug.Set(mm.Design.Chain.Length+r, c, true)
+		for _, c := range m.B.Row(r).Ones() {
+			aug.Set(m.Design.Chain.Length+r, c, true)
 		}
 	}
 	for ti, b := range basis {
@@ -258,7 +110,7 @@ func (mm *MaskModel) SeedsForMaskCoset(members []gf2.Vec, limit int) []gf2.Vec {
 }
 
 // maskInsight adapts a seed-space InsightSource (the insight tracker) to
-// the mask key space of a MaskModel. Each mask key bit j is the linear form
+// the mask key space of a ModeLinear Model. Each mask key bit j is the linear form
 // mrows[j]·s of the seed, so a certified seed constraint r·s = c translates
 // to the key constraint Σ_{j∈J} key[j] = c for any J with Σ_{j∈J} mrows[j]
 // = r — found by solving Mᵀ·y = r for the selection vector y. Rows outside
@@ -280,14 +132,14 @@ type maskInsight struct {
 }
 
 // newMaskInsight wraps a seed-space source for one mask model.
-func newMaskInsight(mm *MaskModel, src satattack.InsightSource) *maskInsight {
-	k := mm.Design.Config.KeyBits
+func newMaskInsight(model *Model, src satattack.InsightSource) *maskInsight {
+	k := model.Design.Config.KeyBits
 	var mrows []gf2.Vec
-	for _, j := range mm.UPos {
-		mrows = append(mrows, mm.A.Row(j))
+	for _, j := range model.UPos {
+		mrows = append(mrows, model.A.Row(j))
 	}
-	for _, j := range mm.VPos {
-		mrows = append(mrows, mm.B.Row(j))
+	for _, j := range model.VPos {
+		mrows = append(mrows, model.B.Row(j))
 	}
 	mt := gf2.NewMat(k, len(mrows))
 	for j, r := range mrows {

@@ -14,7 +14,8 @@ import (
 
 // ModeDirect (the paper's seed-parameterized formulation) and ModeLinear
 // (mask-space SAT attack + GF(2) back-substitution) must recover identical
-// candidate sets — the equivalence DESIGN.md claims.
+// candidate sets — the equivalence DESIGN.md claims — for one capture and
+// for a multi-capture session.
 func TestModesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	for _, policy := range []scan.Policy{scan.PerCycle, scan.Static} {
@@ -22,30 +23,31 @@ func TestModesAgree(t *testing.T) {
 			ffs := 5 + rng.Intn(8)
 			keyBits := 3 + rng.Intn(4)
 			_, chip := lockedChip(t, ffs, keyBits, policy, rng.Int63n(1<<40)+1, rng.Int63n(1<<40)+1)
-
-			direct, err := Attack(chip, Options{Mode: ModeDirect, EnumerateLimit: 1 << uint(keyBits)})
-			if err != nil {
-				t.Fatalf("direct: %v", err)
-			}
-			linear, err := Attack(chip, Options{Mode: ModeLinear, EnumerateLimit: 1 << uint(keyBits)})
-			if err != nil {
-				t.Fatalf("linear: %v", err)
-			}
-			if !direct.Exact || !linear.Exact {
-				t.Fatalf("%v ffs=%d k=%d: inexact (direct=%v linear=%v)", policy, ffs, keyBits, direct.Exact, linear.Exact)
-			}
-			a, b := seedsSorted(direct), seedsSorted(linear)
-			if len(a) != len(b) {
-				t.Fatalf("%v ffs=%d k=%d: candidate counts differ: direct=%d linear=%d",
-					policy, ffs, keyBits, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("%v ffs=%d k=%d: candidate sets differ", policy, ffs, keyBits)
+			for _, captures := range []int{1, 2} {
+				direct, err := AttackMulti(chip, captures, Options{Mode: ModeDirect, EnumerateLimit: 1 << uint(keyBits)})
+				if err != nil {
+					t.Fatalf("direct: %v", err)
 				}
-			}
-			if !ContainsSeed(direct.SeedCandidates, chip.SecretSeed()) {
-				t.Fatal("secret missing")
+				linear, err := AttackMulti(chip, captures, Options{Mode: ModeLinear, EnumerateLimit: 1 << uint(keyBits)})
+				if err != nil {
+					t.Fatalf("linear: %v", err)
+				}
+				if !direct.Exact || !linear.Exact {
+					t.Fatalf("%v ffs=%d k=%d x%d: inexact (direct=%v linear=%v)", policy, ffs, keyBits, captures, direct.Exact, linear.Exact)
+				}
+				a, b := seedsSorted(direct), seedsSorted(linear)
+				if len(a) != len(b) {
+					t.Fatalf("%v ffs=%d k=%d x%d: candidate counts differ: direct=%d linear=%d",
+						policy, ffs, keyBits, captures, len(a), len(b))
+				}
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("%v ffs=%d k=%d x%d: candidate sets differ", policy, ffs, keyBits, captures)
+					}
+				}
+				if !ContainsSeed(direct.SeedCandidates, chip.SecretSeed()) {
+					t.Fatal("secret missing")
+				}
 			}
 		}
 	}

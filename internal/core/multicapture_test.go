@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"dynunlock/internal/gf2"
 	"dynunlock/internal/scan"
 	"dynunlock/internal/sim"
+	"dynunlock/internal/trace"
 )
 
 // The multi-capture model must match the chip's multi-capture sessions bit
@@ -20,7 +22,7 @@ func TestMultiCaptureModelMatchesChip(t *testing.T) {
 			ffs := 5 + rng.Intn(10)
 			keyBits := 3 + rng.Intn(6)
 			d, chip := lockedChip(t, ffs, keyBits, scan.PerCycle, rng.Int63n(1<<40)+1, rng.Int63n(1<<40)+1)
-			mm, err := BuildMaskModelN(d, 0, captures)
+			mm, err := buildModel(d, 0, captures, ModeLinear)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,11 +47,11 @@ func TestMultiCaptureModelMatchesChip(t *testing.T) {
 				}
 				copy(in[off:], scanIn)
 				off += ffs
-				for _, j := range mm.uPos {
+				for _, j := range mm.UPos {
 					in[off] = uv.Get(j)
 					off++
 				}
-				for _, j := range mm.vPos {
+				for _, j := range mm.VPos {
 					in[off] = uv.Get(ffs + j)
 					off++
 				}
@@ -85,13 +87,89 @@ func TestAttackMultiRecoversSeed(t *testing.T) {
 		t.Fatalf("multi-capture attack failed: converged=%v candidates=%d",
 			res.Converged, len(res.SeedCandidates))
 	}
-	// captures < 2 falls back to the standard attack.
+	// One capture is the standard attack.
 	res1, err := AttackMulti(chip, 1, Options{EnumerateLimit: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ContainsSeed(res1.SeedCandidates, chip.SecretSeed()) {
-		t.Fatal("fallback failed")
+		t.Fatal("one-capture attack failed")
+	}
+}
+
+// flipChip passes the first `after` sessions through and flips scan-out
+// bit 0 of every later one.
+type flipChip struct {
+	Chip
+	after, sessions int
+}
+
+func (c *flipChip) Session(testKey, scanIn, pi []bool) ([]bool, []bool) {
+	out, po := c.Chip.Session(testKey, scanIn, pi)
+	return c.flip(out), po
+}
+
+func (c *flipChip) SessionN(testKey, scanIn []bool, pis [][]bool) ([]bool, [][]bool) {
+	out, pos := c.Chip.SessionN(testKey, scanIn, pis)
+	return c.flip(out), pos
+}
+
+func (c *flipChip) flip(out []bool) []bool {
+	c.sessions++
+	if c.sessions > c.after {
+		out[0] = !out[0]
+	}
+	return out
+}
+
+// A multi-capture attack verifies its candidates on the chip with
+// multi-capture probes, honours opts.Mode, and reports the verify stage and
+// the result on the trace: a chip that stops answering like the recovered
+// seed after the DIP queries must fail verification.
+func TestAttackMultiVerifiesOnChip(t *testing.T) {
+	const probes = 5
+	opts := Options{Mode: ModeDirect, EnumerateLimit: 64, VerifyProbes: probes}
+	_, chip := lockedChip(t, 9, 5, scan.PerCycle, 61, 62)
+	c := trace.NewCollector()
+	res, err := AttackMultiCtx(trace.With(context.Background(), c), chip, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Verified || res.Mode != ModeDirect || !ContainsSeed(res.SeedCandidates, chip.SecretSeed()) {
+		t.Fatalf("honest chip: verified=%v mode=%v candidates=%d", res.Verified, res.Mode, len(res.SeedCandidates))
+	}
+	var verifyProbes uint64
+	for _, sp := range c.Spans() {
+		if sp.Name == "verify" {
+			verifyProbes = sp.Counters["probes"]
+		}
+	}
+	if verifyProbes != probes {
+		t.Fatalf("verify span probes = %d, want %d", verifyProbes, probes)
+	}
+	var results []trace.Event
+	for _, ev := range c.Events() {
+		if ev.Type == "result" {
+			results = append(results, ev)
+		}
+	}
+	if len(results) != 1 {
+		t.Fatalf("%d result events, want 1", len(results))
+	}
+	if got := results[0].Fields["oracle_sessions"]; got != uint64(res.Queries+probes) {
+		t.Fatalf("oracle_sessions = %v, want %d queries + %d probes", got, res.Queries, probes)
+	}
+
+	_, fresh := lockedChip(t, 9, 5, scan.PerCycle, 61, 62)
+	flipped, err := AttackMulti(&flipChip{Chip: fresh, after: res.Queries}, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flipped.Queries != res.Queries || len(flipped.SeedCandidates) != len(res.SeedCandidates) {
+		t.Fatalf("the DIP queries changed: %d queries, %d candidates", flipped.Queries, len(flipped.SeedCandidates))
+	}
+	if flipped.Verified {
+		t.Fatal("verified against a chip whose probe sessions disagree with every candidate")
 	}
 }
 
@@ -195,7 +273,7 @@ func TestMaskMatricesNValidation(t *testing.T) {
 	if _, _, err := maskMatricesN(d, 0, 0); err == nil {
 		t.Fatal("want error for captures=0")
 	}
-	if _, err := BuildMaskModelN(d, -1, 1); err == nil {
+	if _, err := buildModel(d, -1, 1, ModeLinear); err == nil {
 		t.Fatal("want error for negative pattern index")
 	}
 }

@@ -52,8 +52,8 @@ func TestNonlinearDefenseRejected(t *testing.T) {
 	if _, err := BuildModel(d, 0); err == nil || !strings.Contains(err.Error(), "nonlinear") {
 		t.Fatalf("BuildModel error = %v, want nonlinear rejection", err)
 	}
-	if _, err := BuildMaskModel(d, 0); err == nil {
-		t.Fatal("BuildMaskModel must also refuse")
+	if _, err := buildModel(d, 0, 1, ModeLinear); err == nil {
+		t.Fatal("the mask-space model must also refuse")
 	}
 	if _, err := Attack(chip, Options{}); err == nil {
 		t.Fatal("Attack must refuse nonlinear designs")
