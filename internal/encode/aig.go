@@ -2,6 +2,7 @@ package encode
 
 import (
 	"fmt"
+	"slices"
 
 	"dynunlock/internal/aig"
 	"dynunlock/internal/cnf"
@@ -26,7 +27,9 @@ func (e *Encoder) EncodeAIG(g *aig.Graph, inputs []cnf.Lit) []cnf.Lit {
 		panic(fmt.Sprintf("encode: got %d input literals, graph has %d inputs", len(inputs), g.NumInputs()))
 	}
 	n := g.NumNodes()
-	need := make([]bool, n)
+	need := slices.Grow(e.need[:0], n)[:n]
+	clear(need)
+	e.need = need
 	for _, o := range g.Outputs() {
 		need[o.Node()] = true
 	}
@@ -42,7 +45,9 @@ func (e *Encoder) EncodeAIG(g *aig.Graph, inputs []cnf.Lit) []cnf.Lit {
 	}
 
 	// The substitution map: arena node -> CNF literal for this copy.
-	lits := make([]cnf.Lit, n)
+	lits := slices.Grow(e.lits[:0], n)[:n]
+	clear(lits)
+	e.lits = lits
 	lits[0] = e.False()
 	for i := 0; i < g.NumInputs(); i++ {
 		lits[g.Input(i).Node()] = inputs[i]

@@ -28,6 +28,12 @@ type Encoder struct {
 	cfg     Config
 	trueLit cnf.Lit
 	cache   map[gateKey]cnf.Lit
+
+	// Scratch reused across gates (clause) and across EncodeAIG copies
+	// (need, lits).
+	clause []cnf.Lit
+	need   []bool
+	lits   []cnf.Lit
 }
 
 // Config tunes the encoding. The zero value is the classic pure-CNF
@@ -176,7 +182,8 @@ func (e *Encoder) encodeGate(t netlist.GateType, fan []cnf.Lit) cnf.Lit {
 // And returns a literal equivalent to the conjunction of the inputs, with
 // constant folding and structural hashing.
 func (e *Encoder) And(ins ...cnf.Lit) cnf.Lit {
-	kept := make([]cnf.Lit, 0, len(ins))
+	var buf [4]cnf.Lit
+	kept := buf[:0]
 	for _, a := range ins {
 		switch {
 		case a == e.False():
@@ -216,12 +223,12 @@ func (e *Encoder) And(ins ...cnf.Lit) cnf.Lit {
 
 func (e *Encoder) and(ins []cnf.Lit) cnf.Lit {
 	z := e.Fresh()
-	long := make([]cnf.Lit, 0, len(ins)+1)
-	long = append(long, z)
+	long := append(e.clause[:0], z)
 	for _, a := range ins {
 		e.S.AddClause(z.Not(), a)
 		long = append(long, a.Not())
 	}
+	e.clause = long
 	e.S.AddClause(long...)
 	return z
 }
@@ -229,9 +236,10 @@ func (e *Encoder) and(ins []cnf.Lit) cnf.Lit {
 // Or returns a literal equivalent to the disjunction of the inputs, with
 // constant folding and structural hashing (via De Morgan on And).
 func (e *Encoder) Or(ins ...cnf.Lit) cnf.Lit {
-	neg := make([]cnf.Lit, len(ins))
-	for i, a := range ins {
-		neg[i] = a.Not()
+	var buf [4]cnf.Lit
+	neg := buf[:0]
+	for _, a := range ins {
+		neg = append(neg, a.Not())
 	}
 	return e.And(neg...).Not()
 }
@@ -268,7 +276,8 @@ func (e *Encoder) Xor(a, b cnf.Lit) cnf.Lit {
 		z = e.Fresh()
 		if e.cfg.NativeXor {
 			// z = a ⊕ b as one GF(2) row: z ⊕ a ⊕ b = 0.
-			e.S.AddXor([]cnf.Lit{z, a, b}, false)
+			row := [3]cnf.Lit{z, a, b}
+			e.S.AddXor(row[:], false)
 		} else {
 			e.S.AddClause(z.Not(), a, b)
 			e.S.AddClause(z.Not(), a.Not(), b.Not())

@@ -13,8 +13,6 @@ func newVarHeap(act *[]float64) *varHeap {
 	return &varHeap{act: act}
 }
 
-func (h *varHeap) less(a, b int) bool { return (*h.act)[a] > (*h.act)[b] }
-
 func (h *varHeap) grow(v int) {
 	for len(h.indices) <= v {
 		h.indices = append(h.indices, -1)
@@ -50,9 +48,8 @@ func (h *varHeap) removeMax() int {
 	return v
 }
 
-// decrease notifies the heap that v's activity increased (so it may need to
-// move up; the name follows the MiniSat convention of a min-heap on
-// negated activity).
+// bump notifies the heap that v's activity increased, so it may need to
+// move up.
 func (h *varHeap) bump(v int) {
 	if h.contains(v) {
 		h.percolateUp(h.indices[v])
@@ -60,10 +57,11 @@ func (h *varHeap) bump(v int) {
 }
 
 func (h *varHeap) percolateUp(i int) {
+	act := *h.act
 	v := h.heap[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h.less(v, h.heap[p]) {
+		if !(act[v] > act[h.heap[p]]) {
 			break
 		}
 		h.heap[i] = h.heap[p]
@@ -75,6 +73,7 @@ func (h *varHeap) percolateUp(i int) {
 }
 
 func (h *varHeap) percolateDown(i int) {
+	act := *h.act
 	v := h.heap[i]
 	n := len(h.heap)
 	for {
@@ -83,10 +82,10 @@ func (h *varHeap) percolateDown(i int) {
 			break
 		}
 		child := l
-		if r < n && h.less(h.heap[r], h.heap[l]) {
+		if r < n && act[h.heap[r]] > act[h.heap[l]] {
 			child = r
 		}
-		if !h.less(h.heap[child], v) {
+		if !(act[h.heap[child]] > act[v]) {
 			break
 		}
 		h.heap[i] = h.heap[child]

@@ -3,7 +3,7 @@ package sat
 // Simplify performs level-0 inprocessing: after completing top-level unit
 // propagation it removes every clause satisfied by the level-0 trail,
 // strengthens the remainder by deleting their falsified literals, and
-// compacts the watcher lists of the removed clauses. Both the problem and
+// detaches the removed clauses from their watch lists. Both the problem and
 // learnt databases are processed. XOR rows are left untouched — they
 // self-reduce against assigned variables during propagation and carry
 // their own watch scheme.
@@ -22,13 +22,14 @@ func (s *Solver) Simplify() bool {
 		return false
 	}
 	s.cancelUntil(0)
-	if s.propagate() != nil {
+	if s.propagate() != crefNone {
 		s.ok = false
 		return false
 	}
 	s.Stats.SimplifyCalls++
 	s.clauses = s.cleanDB(s.clauses)
 	s.learnts = s.cleanDB(s.learnts)
+	s.maybeCompact()
 	// Counters changed outside a Solve call: deliver them to the telemetry
 	// hook now rather than at the next solve boundary.
 	s.FlushHook()
@@ -39,44 +40,46 @@ func (s *Solver) Simplify() bool {
 // preserving order. After complete level-0 propagation a non-satisfied
 // clause cannot have an assigned watched literal (it would have been unit),
 // so strengthening only ever trims positions >= 2 and the watch lists of
-// survivors stay valid as-is.
-func (s *Solver) cleanDB(cs []*clause) []*clause {
+// survivors stay valid as-is. A clause shortened to two literals keeps its
+// long-clause watchers: re-attaching it as binary would reorder the watch
+// lists.
+func (s *Solver) cleanDB(cs []cref) []cref {
 	kept := cs[:0]
-	for _, c := range cs {
+	for _, cr := range cs {
+		lits := s.lits(cr)
 		satisfied := false
-		for _, l := range c.lits {
+		for _, l := range lits {
 			if s.value(l) == lTrue {
 				satisfied = true
 				break
 			}
 		}
 		if satisfied {
-			if s.locked(c) {
+			if v := s.lockedVar(cr); v >= 0 {
 				// The clause is the stored reason of a level-0 literal.
 				// Level-0 assignments are permanent and never re-examined
-				// by conflict analysis, so the pointer can be dropped
+				// by conflict analysis, so the reference can be dropped
 				// rather than dangled.
-				s.reason[c.lits[0].Var()] = nil
+				s.reason[v] = crefNone
 			}
-			s.detach(c)
+			s.detach(cr)
+			s.free(cr)
 			s.Stats.SimplifyRemoved++
 			continue
 		}
 		n := 2
-		for k := 2; k < len(c.lits); k++ {
-			if s.value(c.lits[k]) == lFalse {
+		for k := 2; k < len(lits); k++ {
+			if s.value(lits[k]) == lFalse {
 				s.Stats.SimplifyStrengthened++
 				continue
 			}
-			c.lits[n] = c.lits[k]
+			lits[n] = lits[k]
 			n++
 		}
-		c.lits = c.lits[:n]
-		kept = append(kept, c)
-	}
-	// Zero the tail so removed clauses are collectable.
-	for i := len(kept); i < len(cs); i++ {
-		cs[i] = nil
+		if n < len(lits) {
+			s.setSize(cr, n)
+		}
+		kept = append(kept, cr)
 	}
 	return kept
 }

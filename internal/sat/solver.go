@@ -1,10 +1,11 @@
 // Package sat implements a conflict-driven clause-learning (CDCL) SAT
 // solver in the MiniSat lineage: two-watched-literal propagation, VSIDS
-// branching with phase saving, first-UIP conflict analysis with clause
-// minimization, Luby restarts, and LBD-guided learnt-clause database
-// reduction. It supports incremental solving under assumptions, which the
-// oracle-guided SAT attack uses to add distinguishing-input constraints
-// between calls.
+// branching with phase saving, first-UIP conflict analysis with one-level
+// clause minimization, Luby restarts with the Glucose LBD condition, and
+// LBD-guided learnt-clause database reduction. It supports incremental
+// solving under assumptions, which the oracle-guided SAT attack uses to add
+// distinguishing-input constraints between calls. Clauses live in one
+// pointer-free arena (arena.go).
 //
 // The solver exists because the reproduction environment provides no
 // importable SAT solver; the paper used lingeling. Iteration and candidate
@@ -17,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -53,18 +55,6 @@ const (
 	lFalse lbool = -1
 )
 
-type clause struct {
-	lits   []cnf.Lit
-	act    float64
-	lbd    int32
-	learnt bool
-}
-
-type watcher struct {
-	c       *clause
-	blocker cnf.Lit
-}
-
 // Stats accumulates solver counters across Solve calls.
 type Stats struct {
 	Decisions    uint64
@@ -91,28 +81,47 @@ type Stats struct {
 // Solver is an incremental CDCL SAT solver. The zero value is not usable;
 // call New.
 type Solver struct {
-	ok      bool
-	clauses []*clause
-	learnts []*clause
+	ok bool
+
+	// Clause arena (arena.go): every clause's words, the live problem and
+	// learnt clauses in order, and the count of dead words.
+	ca          []cnf.Lit
+	clauses     []cref
+	learnts     []cref
+	wasted      int
+	compactions int
 
 	watches  [][]watcher // indexed by cnf.Lit
 	assigns  []lbool     // indexed by variable
 	polarity []bool      // saved phase, true = last assigned false
 	activity []float64
 	level    []int32
-	reason   []*clause
+	reason   []cref
 	seen     []byte
 
 	// XOR layer (xor.go): stored parity rows in their original sparse form
-	// (what search propagates over), the echelon-reduced shadow system used
-	// only inside AddXor for dependence/inconsistency detection with its
-	// pivot-variable index, per-variable row watch lists, and per-variable
-	// lazy reasons (xorRows index + 1; 0 = not XOR-implied).
-	xorRows  []*xorRow
-	xorEch   []xorEchRow
-	xorPivot map[int32]int32 // pivot variable → xorEch index
-	xwatches [][]int32       // indexed by variable
-	reasonX  []int32         // indexed by variable
+	// (what search propagates over) with their variables in one shared
+	// arena, the echelon-reduced shadow system used only inside AddXor for
+	// dependence/inconsistency detection with its own variable arena and
+	// pivot-variable index, per-variable row watch lists, per-variable
+	// lazy reasons (xorRows index + 1; 0 = not XOR-implied), and the
+	// scratch literals of the materialized conflict and reason clauses.
+	xorRows   []xorRow
+	xorVars   []int32
+	xorEch    []xorRow
+	echVars   []int32
+	xorPivot  []int32   // indexed by variable: xorEch index + 1, 0 = none
+	xwatches  [][]int32 // indexed by variable
+	reasonX   []int32   // indexed by variable
+	xorConfl  []cnf.Lit
+	xorReason []cnf.Lit
+
+	// Reused buffers of clause and row intake and conflict analysis.
+	addBuf           []cnf.Lit
+	xorIn            []int32
+	xorRedA, xorRedB []int32
+	learntBuf        []cnf.Lit
+	toClear          []int
 
 	order    *varHeap
 	varInc   float64
@@ -252,6 +261,7 @@ func New() *Solver {
 		claInc:       1.0,
 		claDecay:     0.999,
 		learntGrowth: 1.1,
+		ca:           []cnf.Lit{0}, // the sentinel behind crefNone
 	}
 	s.order = newVarHeap(&s.activity)
 	return s
@@ -271,7 +281,7 @@ func (s *Solver) NewVar() int {
 	s.polarity = append(s.polarity, phase)
 	s.activity = append(s.activity, 0)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, crefNone)
 	s.reasonX = append(s.reasonX, 0)
 	s.seen = append(s.seen, 0)
 	s.watches = append(s.watches, nil, nil)
@@ -310,12 +320,12 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 	s.cancelUntil(0)
 	// Normalize: sort, dedupe, drop false-at-top-level literals, detect
 	// tautologies and satisfied clauses.
-	ls := make([]cnf.Lit, len(lits))
-	copy(ls, lits)
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
 	for _, l := range ls {
 		s.ensureVars(l.Var())
 	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev cnf.Lit = -1
 	for _, l := range ls {
@@ -333,16 +343,16 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(out[0], crefNone)
+		if s.propagate() != crefNone {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: append([]cnf.Lit(nil), out...)}
-	s.clauses = append(s.clauses, c)
-	s.attach(c)
+	cr := s.alloc(out, false)
+	s.clauses = append(s.clauses, cr)
+	s.attach(cr)
 	return true
 }
 
@@ -363,26 +373,40 @@ func (s *Solver) AddFormula(f *cnf.Formula) bool {
 	return s.ok
 }
 
-func (s *Solver) attach(c *clause) {
-	w0, w1 := c.lits[0], c.lits[1]
-	s.watches[w0.Not()] = append(s.watches[w0.Not()], watcher{c, w1})
-	s.watches[w1.Not()] = append(s.watches[w1.Not()], watcher{c, w0})
+// attach watches a clause's first two literals. A clause stored with two
+// literals gets binary watchers (binFlag); a longer one keeps long
+// watchers for life, even after Simplify shortens it to two literals.
+func (s *Solver) attach(cr cref) {
+	lits := s.lits(cr)
+	w0, w1 := lits[0], lits[1]
+	ref := cr
+	if len(lits) == 2 {
+		ref |= binFlag
+	}
+	s.watches[w0.Not()] = append(s.watches[w0.Not()], watcher{ref, w1})
+	s.watches[w1.Not()] = append(s.watches[w1.Not()], watcher{ref, w0})
 }
 
-func (s *Solver) detach(c *clause) {
-	for _, w := range []cnf.Lit{c.lits[0].Not(), c.lits[1].Not()} {
-		ws := s.watches[w]
-		for i := range ws {
-			if ws[i].c == c {
-				ws[i] = ws[len(ws)-1]
-				s.watches[w] = ws[:len(ws)-1]
-				break
-			}
+func (s *Solver) detach(cr cref) {
+	lits := s.lits(cr)
+	s.unwatch(lits[0].Not(), cr)
+	s.unwatch(lits[1].Not(), cr)
+}
+
+// unwatch removes cr's watcher from the watch list of w, moving the last
+// watcher into its place.
+func (s *Solver) unwatch(w cnf.Lit, cr cref) {
+	ws := s.watches[w]
+	for i := range ws {
+		if ws[i].ref&^binFlag == cr {
+			ws[i] = ws[len(ws)-1]
+			s.watches[w] = ws[:len(ws)-1]
+			return
 		}
 	}
 }
 
-func (s *Solver) uncheckedEnqueue(p cnf.Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(p cnf.Lit, from cref) {
 	v := p.Var()
 	if p.Sign() {
 		s.assigns[v] = lFalse
@@ -395,8 +419,16 @@ func (s *Solver) uncheckedEnqueue(p cnf.Lit, from *clause) {
 }
 
 // propagate performs unit propagation; it returns the conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// crefNone.
+//
+// A binary watcher is resolved from the watcher alone and leaves the arena
+// untouched, where the long-clause path would first swap ¬p into the
+// clause's second slot. The order that swap leaves is read in three
+// places, and each restores it there: a binary conflict is written as
+// [blocker, ¬p] before it is returned, reasonFor puts a binary reason's
+// implied literal first, and lockedVar checks both literals of a binary
+// clause.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -406,7 +438,7 @@ func (s *Solver) propagate() *clause {
 		// onto the current level, which keeps the learnt clauses from the
 		// parity-heavy lock logic tight.
 		if len(s.xorRows) > 0 {
-			if confl := s.propagateXor(p); confl != nil {
+			if confl := s.propagateXor(p); confl != crefNone {
 				s.qhead = len(s.trail)
 				return confl
 			}
@@ -417,19 +449,39 @@ func (s *Solver) propagate() *clause {
 	nextWatcher:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.value(w.blocker) == lTrue {
+			bv := s.value(w.blocker)
+			if bv == lTrue {
 				ws[n] = w
 				n++
 				continue
 			}
-			c := w.c
-			lits := c.lits
+			if w.ref&binFlag != 0 {
+				// Binary clause: the blocker is the other literal.
+				ws[n] = w
+				n++
+				cr := w.ref &^ binFlag
+				if bv == lFalse {
+					s.ca[cr+1], s.ca[cr+2] = w.blocker, falseLit
+					for i++; i < len(ws); i++ {
+						ws[n] = ws[i]
+						n++
+					}
+					s.watches[p] = ws[:n]
+					s.qhead = len(s.trail)
+					return cr
+				}
+				s.uncheckedEnqueue(w.blocker, cr)
+				continue
+			}
+			cr := w.ref
+			end := cr + 1 + cref(s.ca[cr]>>hdrShift)
+			lits := s.ca[cr+1 : end : end]
 			if lits[0] == falseLit {
 				lits[0], lits[1] = lits[1], lits[0]
 			}
 			first := lits[0]
 			if first != w.blocker && s.value(first) == lTrue {
-				ws[n] = watcher{c, first}
+				ws[n] = watcher{cr, first}
 				n++
 				continue
 			}
@@ -437,12 +489,12 @@ func (s *Solver) propagate() *clause {
 				if s.value(lits[k]) != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
 					nw := lits[1].Not()
-					s.watches[nw] = append(s.watches[nw], watcher{c, first})
+					s.watches[nw] = append(s.watches[nw], watcher{cr, first})
 					continue nextWatcher
 				}
 			}
 			// No new watch: clause is unit or conflicting.
-			ws[n] = watcher{c, first}
+			ws[n] = watcher{cr, first}
 			n++
 			if s.value(first) == lFalse {
 				// Conflict: copy remaining watchers and bail.
@@ -452,13 +504,13 @@ func (s *Solver) propagate() *clause {
 				}
 				s.watches[p] = ws[:n]
 				s.qhead = len(s.trail)
-				return c
+				return cr
 			}
-			s.uncheckedEnqueue(first, c)
+			s.uncheckedEnqueue(first, cr)
 		}
 		s.watches[p] = ws[:n]
 	}
-	return nil
+	return crefNone
 }
 
 func (s *Solver) cancelUntil(lvl int) {
@@ -470,7 +522,7 @@ func (s *Solver) cancelUntil(lvl int) {
 		v := p.Var()
 		s.assigns[v] = lUndef
 		s.polarity[v] = p.Sign()
-		s.reason[v] = nil
+		s.reason[v] = crefNone
 		s.reasonX[v] = 0
 		s.order.insert(v)
 	}
@@ -479,8 +531,10 @@ func (s *Solver) cancelUntil(lvl int) {
 	s.trailLim = s.trailLim[:lvl]
 }
 
-func (s *Solver) varBump(v int) {
-	s.activity[v] += s.varInc
+// varBump raises v's activity by amount·varInc, rescaling every activity
+// when it overflows 1e100, and restores v's heap position.
+func (s *Solver) varBump(v int, amount float64) {
+	s.activity[v] += amount * s.varInc
 	if s.activity[v] > 1e100 {
 		for i := range s.activity {
 			s.activity[i] *= 1e-100
@@ -490,36 +544,38 @@ func (s *Solver) varBump(v int) {
 	s.order.bump(v)
 }
 
-func (s *Solver) claBump(c *clause) {
-	c.act += s.claInc
-	if c.act > 1e20 {
+func (s *Solver) claBump(cr cref) {
+	a := s.act(cr) + s.claInc
+	s.setAct(cr, a)
+	if a > 1e20 {
 		for _, l := range s.learnts {
-			l.act *= 1e-20
+			s.setAct(l, s.act(l)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt clause
-// (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int) {
-	learnt := []cnf.Lit{0} // placeholder for asserting literal
+// (asserting literal first) and the backtrack level. The clause is a
+// reused buffer, valid until the next call.
+func (s *Solver) analyze(confl cref) ([]cnf.Lit, int) {
+	learnt := append(s.learntBuf[:0], 0) // placeholder for asserting literal
 	pathC := 0
 	var p cnf.Lit = -1
 	index := len(s.trail) - 1
 	for {
-		lits := confl.lits
+		lits := s.lits(confl)
 		start := 0
 		if p != -1 {
 			start = 1
 		}
-		if confl.learnt {
+		if s.isLearnt(confl) {
 			s.claBump(confl)
 		}
 		for _, q := range lits[start:] {
 			v := q.Var()
 			if s.seen[v] == 0 && s.level[v] > 0 {
-				s.varBump(v)
+				s.varBump(v, 1)
 				s.seen[v] = 1
 				if int(s.level[v]) >= s.decisionLevel() {
 					pathC++
@@ -543,21 +599,22 @@ func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int) {
 	learnt[0] = p.Not()
 
 	// Clause minimization (local): drop literals implied by the rest.
-	toClear := make([]int, 0, len(learnt))
+	toClear := s.toClear[:0]
 	for _, l := range learnt {
 		toClear = append(toClear, l.Var())
 	}
+	s.toClear = toClear
 	j := 1
 	for i := 1; i < len(learnt); i++ {
 		v := learnt[i].Var()
 		r := s.reasonFor(v)
-		if r == nil {
+		if r == crefNone {
 			learnt[j] = learnt[i]
 			j++
 			continue
 		}
 		redundant := true
-		for _, q := range r.lits[1:] {
+		for _, q := range s.lits(r)[1:] {
 			if s.seen[q.Var()] == 0 && s.level[q.Var()] > 0 {
 				redundant = false
 				break
@@ -585,6 +642,7 @@ func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int) {
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
 		btLevel = int(s.level[learnt[1].Var()])
 	}
+	s.learntBuf = learnt
 	return learnt, btLevel
 }
 
@@ -602,10 +660,10 @@ func (s *Solver) analyzeFinal(p cnf.Lit) {
 		if s.seen[v] == 0 {
 			continue
 		}
-		if r := s.reasonFor(v); r == nil {
+		if r := s.reasonFor(v); r == crefNone {
 			s.conflict = append(s.conflict, s.trail[i].Not())
 		} else {
-			for _, q := range r.lits[1:] {
+			for _, q := range s.lits(r)[1:] {
 				if s.level[q.Var()] > 0 {
 					s.seen[q.Var()] = 1
 				}
@@ -642,13 +700,14 @@ func (s *Solver) lbd(lits []cnf.Lit) int32 {
 func (s *Solver) reduceDB() {
 	sort.Slice(s.learnts, func(i, j int) bool {
 		a, b := s.learnts[i], s.learnts[j]
-		if (a.lbd <= 2) != (b.lbd <= 2) {
-			return a.lbd <= 2
+		la, lb := s.clauseLBD(a), s.clauseLBD(b)
+		if (la <= 2) != (lb <= 2) {
+			return la <= 2
 		}
-		if (len(a.lits) == 2) != (len(b.lits) == 2) {
-			return len(a.lits) == 2
+		if (s.size(a) == 2) != (s.size(b) == 2) {
+			return s.size(a) == 2
 		}
-		return a.act > b.act
+		return s.act(a) > s.act(b)
 	})
 	keep := s.learnts[:0]
 	limit := len(s.learnts) / 2
@@ -659,14 +718,16 @@ func (s *Solver) reduceDB() {
 		// exemption for low-LBD clauses would let XOR-heavy instances,
 		// whose learnt clauses are mostly glue, defeat the reduction and
 		// thrash this routine.)
-		if i < limit || s.locked(c) {
+		if i < limit || s.lockedVar(c) >= 0 {
 			keep = append(keep, c)
 		} else {
 			s.detach(c)
+			s.free(c)
 			s.Stats.Removed++
 		}
 	}
 	s.learnts = keep
+	s.maybeCompact()
 	// If locked clauses alone exceed the budget, grow it to avoid calling
 	// reduceDB on every decision.
 	if float64(len(s.learnts)) >= s.maxLearnts {
@@ -674,8 +735,18 @@ func (s *Solver) reduceDB() {
 	}
 }
 
-func (s *Solver) locked(c *clause) bool {
-	return s.value(c.lits[0]) == lTrue && s.reason[c.lits[0].Var()] == c
+// lockedVar returns the variable whose stored reason is cr, or -1 if cr is
+// no current reason. The implied literal is the first one, except in a
+// clause stored with two literals, which propagate leaves unordered.
+func (s *Solver) lockedVar(cr cref) int {
+	lits := s.lits(cr)
+	if l := lits[0]; s.value(l) == lTrue && s.reason[l.Var()] == cr {
+		return l.Var()
+	}
+	if l := lits[1]; len(lits) == 2 && s.value(l) == lTrue && s.reason[l.Var()] == cr {
+		return l.Var()
+	}
+	return -1
 }
 
 // pickBranchVar returns the unassigned variable with the highest activity.
@@ -721,7 +792,7 @@ func (s *Solver) search(nofConflicts int64, assumptions []cnf.Lit) Status {
 			return Unknown
 		}
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefNone {
 			s.Stats.Conflicts++
 			conflictC++
 			if s.decisionLevel() == 0 {
@@ -732,15 +803,15 @@ func (s *Solver) search(nofConflicts int64, assumptions []cnf.Lit) Status {
 			s.cancelUntil(btLevel)
 			var lbd int32 = 1
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], crefNone)
 			} else {
-				c := &clause{lits: append([]cnf.Lit(nil), learnt...), learnt: true}
-				c.lbd = s.lbd(c.lits)
-				lbd = c.lbd
-				s.learnts = append(s.learnts, c)
-				s.attach(c)
-				s.claBump(c)
-				s.uncheckedEnqueue(learnt[0], c)
+				cr := s.alloc(learnt, true)
+				lbd = s.lbd(learnt)
+				s.setLBD(cr, lbd)
+				s.learnts = append(s.learnts, cr)
+				s.attach(cr)
+				s.claBump(cr)
+				s.uncheckedEnqueue(learnt[0], cr)
 				s.Stats.Learnt++
 			}
 			// Exponential moving averages for the restart policy.
@@ -820,7 +891,7 @@ func (s *Solver) search(nofConflicts int64, assumptions []cnf.Lit) Status {
 			next = cnf.MkLit(v, s.polarity[v])
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(next, nil)
+		s.uncheckedEnqueue(next, crefNone)
 	}
 }
 
@@ -967,14 +1038,7 @@ func (s *Solver) String() string {
 // variables first, which shortens miter searches.
 func (s *Solver) BumpActivity(v int, amount float64) {
 	s.ensureVars(v)
-	s.activity[v] += amount * s.varInc
-	if s.activity[v] > 1e100 {
-		for i := range s.activity {
-			s.activity[i] *= 1e-100
-		}
-		s.varInc *= 1e-100
-	}
-	s.order.bump(v)
+	s.varBump(v, amount)
 }
 
 // WriteDimacs dumps the current problem — top-level unit assignments,
@@ -1000,8 +1064,8 @@ func (s *Solver) WriteDimacs(w io.Writer) error {
 	for i := 0; i < units; i++ {
 		fmt.Fprintf(bw, "%d 0\n", s.trail[i].Dimacs())
 	}
-	for _, c := range s.clauses {
-		for _, l := range c.lits {
+	for _, cr := range s.clauses {
+		for _, l := range s.lits(cr) {
 			fmt.Fprintf(bw, "%d ", l.Dimacs())
 		}
 		fmt.Fprintln(bw, 0)
@@ -1010,7 +1074,7 @@ func (s *Solver) WriteDimacs(w io.Writer) error {
 		// The XOR of the listed literals must be true: a false rhs is
 		// folded into the first literal's sign.
 		bw.WriteString("x")
-		for i, v := range row.vars {
+		for i, v := range s.xorVars[row.start:row.end] {
 			fmt.Fprintf(bw, " %d", cnf.MkLit(int(v), i == 0 && !row.rhs).Dimacs())
 		}
 		fmt.Fprintln(bw, " 0")

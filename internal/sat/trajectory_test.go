@@ -121,11 +121,15 @@ func modelValue(s *Solver, bits []cnf.Lit) uint64 {
 // UNSAT. Last it re-solves the miter and the first factoring query
 // through the surviving learnt clauses. It returns one line per solve
 // holding the status, every Stats counter, a hash of the model and the
-// final conflict.
-func trajectory(cfg Config, native, bump bool) []string {
+// final conflict, and the solver. A non-nil hook is installed before the
+// first clause.
+func trajectory(cfg Config, native, bump bool, hook func(*Solver)) ([]string, *Solver) {
 	const w = 4
 	const n = 13 * 11
 	s := NewWithConfig(cfg)
+	if hook != nil {
+		s.SetHook(&Hook{Every: 16, OnSample: func(Stats, int) { hook(s) }})
+	}
 	c := circuit{s, native}
 	a, b := c.vec(w), c.vec(w)
 	if bump {
@@ -192,7 +196,7 @@ func trajectory(cfg Config, native, bump bool) []string {
 	}
 	record(s.Solve(miter))
 	record(s.Solve(acts[0]))
-	return lines
+	return lines, s
 }
 
 // The search trajectory is pinned: every counter, model and final
@@ -276,7 +280,10 @@ func TestSearchTrajectoryPinned(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := trajectory(tc.cfg, tc.native, tc.bump)
+			got, s := trajectory(tc.cfg, tc.native, tc.bump, nil)
+			if s.compactions == 0 {
+				t.Errorf("the session never compacted the clause arena")
+			}
 			if fmt.Sprint(got) == fmt.Sprint(tc.want) {
 				return
 			}
@@ -294,4 +301,30 @@ func TestSearchTrajectoryPinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkSolveMiter builds and solves the commutativity miter of two
+// 5-bit multipliers under its activation assumption: AND triples plus
+// native XOR rows, the shape of the attack's miter. It takes about 2,000
+// conflicts.
+func BenchmarkSolveMiter(b *testing.B) {
+	b.ReportAllocs()
+	var conflicts uint64
+	for i := 0; i < b.N; i++ {
+		s := New()
+		c := circuit{s, true}
+		x, y := c.vec(5), c.vec(5)
+		p1, p2 := c.mul(x, y), c.mul(y, x)
+		act := c.fresh()
+		diff := []cnf.Lit{act.Not()}
+		for j := range p1 {
+			diff = append(diff, c.xor(p1[j], p2[j]))
+		}
+		s.AddClause(diff...)
+		if s.Solve(act) != Unsat {
+			b.Fatal("commutativity miter must be UNSAT")
+		}
+		conflicts += s.Stats.Conflicts
+	}
+	b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts/op")
 }

@@ -21,27 +21,23 @@
 package sat
 
 import (
-	"sort"
+	"slices"
 
 	"dynunlock/internal/cnf"
 )
 
-// xorRow is one parity constraint XOR(vars) = rhs. vars are distinct and
-// sorted ascending; rows are immutable once stored (reason indices into
-// xorRows stay valid for the solver's lifetime).
+// xorRow is one parity constraint XOR(vars) = rhs, where vars is the
+// range [start, end) of its variable arena: Solver.xorVars for the stored
+// rows, Solver.echVars for the rows of the AddXor-time echelon. vars are
+// distinct and sorted ascending; rows are immutable once stored (reason
+// indices into xorRows stay valid for the solver's lifetime). Echelon
+// rows are never watched or used as reasons — they exist only so new rows
+// can be tested for linear dependence and inconsistency without
+// densifying the rows search propagates over.
 type xorRow struct {
-	vars  []int32
-	rhs   bool
-	watch [2]int32 // the two watched variables, always distinct row members
-}
-
-// xorEchRow is one row of the AddXor-time echelon: the same constraint
-// shape as xorRow but never watched or used as a reason — it exists only
-// so new rows can be tested for linear dependence and inconsistency
-// without densifying the rows search propagates over.
-type xorEchRow struct {
-	vars []int32
-	rhs  bool
+	start, end int32
+	rhs        bool
+	watch      [2]int32 // stored rows: the two watched variables, always distinct row members
 }
 
 // AddXor adds the parity constraint "XOR of the literal values = rhs".
@@ -60,7 +56,7 @@ func (s *Solver) AddXor(lits []cnf.Lit, rhs bool) bool {
 		return false
 	}
 	s.cancelUntil(0)
-	vars := make([]int32, 0, len(lits))
+	vars := s.xorIn[:0]
 	for _, l := range lits {
 		s.ensureVars(l.Var())
 		if l.Sign() {
@@ -68,7 +64,8 @@ func (s *Solver) AddXor(lits []cnf.Lit, rhs bool) bool {
 		}
 		vars = append(vars, int32(l.Var()))
 	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
+	s.xorIn = vars
+	slices.Sort(vars)
 	// Cancel duplicate pairs: v ⊕ v = 0.
 	out := vars[:0]
 	for i := 0; i < len(vars); {
@@ -96,34 +93,41 @@ func (s *Solver) AddXor(lits []cnf.Lit, rhs bool) bool {
 	// together through shared inputs. For the unrolled keystream generator
 	// the fixpoint expresses every cycle's parity bit directly over the
 	// seed variables.
-	rv := append([]int32(nil), vars...)
+	if n := len(s.assigns); len(s.xorPivot) < n {
+		old := len(s.xorPivot)
+		s.xorPivot = slices.Grow(s.xorPivot, n-old)[:n]
+		clear(s.xorPivot[old:])
+	}
+	// The reduction alternates between two reused buffers: each merge
+	// writes the sum into the buffer the row is not in.
+	rv, spare := append(s.xorRedA[:0], vars...), s.xorRedB
 	rrhs := rhs
 	for {
 		rv, rrhs = s.xorFoldAssigned(rv, rrhs)
 		if len(rv) == 0 {
 			break
 		}
-		ei, ok := s.xorPivot[rv[len(rv)-1]]
-		if !ok {
+		ei := s.xorPivot[rv[len(rv)-1]]
+		if ei == 0 {
 			break
 		}
-		ech := s.xorEch[ei]
+		ech := s.xorEch[ei-1]
 		if ech.rhs {
 			rrhs = !rrhs
 		}
-		rv = xorMerge(rv, ech.vars)
+		rv, spare = xorMerge(spare[:0], rv, s.echVars[ech.start:ech.end]), rv
 	}
+	s.xorRedA, s.xorRedB = rv, spare
 	if len(rv) <= 1 {
 		// Linearly dependent modulo a possible forced literal: the stored
 		// system plus that assignment already implies the new row, so it
 		// stores nothing.
 		return s.xorFinishSmall(rv, rrhs)
 	}
-	if s.xorPivot == nil {
-		s.xorPivot = make(map[int32]int32)
-	}
-	s.xorPivot[rv[len(rv)-1]] = int32(len(s.xorEch))
-	s.xorEch = append(s.xorEch, xorEchRow{vars: rv, rhs: rrhs})
+	s.xorPivot[rv[len(rv)-1]] = int32(len(s.xorEch)) + 1
+	start := int32(len(s.echVars))
+	s.echVars = append(s.echVars, rv...)
+	s.xorEch = append(s.xorEch, xorRow{start: start, end: int32(len(s.echVars)), rhs: rrhs})
 
 	s.xorStore(vars, rhs)
 	return true
@@ -132,9 +136,13 @@ func (s *Solver) AddXor(lits []cnf.Lit, rhs bool) bool {
 // xorStore attaches a normalized row (≥2 distinct sorted unassigned
 // variables) to the watch lists.
 func (s *Solver) xorStore(vars []int32, rhs bool) {
-	row := &xorRow{vars: vars, rhs: rhs, watch: [2]int32{vars[0], vars[1]}}
+	start := int32(len(s.xorVars))
+	s.xorVars = append(s.xorVars, vars...)
 	ri := int32(len(s.xorRows))
-	s.xorRows = append(s.xorRows, row)
+	s.xorRows = append(s.xorRows, xorRow{
+		start: start, end: int32(len(s.xorVars)), rhs: rhs,
+		watch: [2]int32{vars[0], vars[1]},
+	})
 	s.xwatches[vars[0]] = append(s.xwatches[vars[0]], ri)
 	s.xwatches[vars[1]] = append(s.xwatches[vars[1]], ri)
 }
@@ -167,18 +175,17 @@ func (s *Solver) xorFinishSmall(vars []int32, rhs bool) bool {
 		}
 		return true
 	}
-	s.uncheckedEnqueue(cnf.MkLit(int(vars[0]), !rhs), nil)
-	if s.propagate() != nil {
+	s.uncheckedEnqueue(cnf.MkLit(int(vars[0]), !rhs), crefNone)
+	if s.propagate() != crefNone {
 		s.ok = false
 		return false
 	}
 	return true
 }
 
-// xorMerge returns the symmetric difference of two sorted variable lists
-// (the GF(2) sum of the two rows).
-func xorMerge(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
+// xorMerge appends to out the symmetric difference of two sorted variable
+// lists (the GF(2) sum of the two rows) and returns it.
+func xorMerge(out, a, b []int32) []int32 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -207,17 +214,18 @@ func (s *Solver) NumXors() int { return len(s.xorRows) }
 // synthesized conflict clause (all literals false under the current
 // assignment, including at least one at the current decision level — the
 // trigger variable itself).
-func (s *Solver) propagateXor(p cnf.Lit) *clause {
+func (s *Solver) propagateXor(p cnf.Lit) cref {
 	v := int32(p.Var())
 	ws := s.xwatches[v]
 	n := 0
 	for i := 0; i < len(ws); i++ {
 		ri := ws[i]
-		row := s.xorRows[ri]
+		row := &s.xorRows[ri]
+		vars := s.xorVars[row.start:row.end]
 		parity := row.rhs
 		var unassigned int32 = -1
 		count := 0
-		for _, u := range row.vars {
+		for _, u := range vars {
 			switch s.assigns[u] {
 			case lUndef:
 				count++
@@ -236,7 +244,7 @@ func (s *Solver) propagateXor(p cnf.Lit) *clause {
 					n++
 				}
 				s.xwatches[v] = ws[:n]
-				return s.xorConflictClause(row)
+				return s.xorConflictClause(vars)
 			}
 			ws[n] = ri
 			n++
@@ -244,7 +252,7 @@ func (s *Solver) propagateXor(p cnf.Lit) *clause {
 			// The remaining variable must restore the parity.
 			s.Stats.XorPropagations++
 			s.reasonX[unassigned] = ri + 1
-			s.uncheckedEnqueue(cnf.MkLit(int(unassigned), !parity), nil)
+			s.uncheckedEnqueue(cnf.MkLit(int(unassigned), !parity), crefNone)
 			ws[n] = ri
 			n++
 		default:
@@ -257,7 +265,7 @@ func (s *Solver) propagateXor(p cnf.Lit) *clause {
 					slot = 1
 				}
 				other := row.watch[1-slot]
-				for _, u := range row.vars {
+				for _, u := range vars {
 					if u != other && s.assigns[u] == lUndef {
 						row.watch[slot] = u
 						s.xwatches[u] = append(s.xwatches[u], ri)
@@ -273,45 +281,54 @@ func (s *Solver) propagateXor(p cnf.Lit) *clause {
 		}
 	}
 	s.xwatches[v] = ws[:n]
-	return nil
+	return crefNone
 }
 
-// xorConflictClause materializes a violated row as a clause: one literal
-// per row variable, each false under the current assignment.
-func (s *Solver) xorConflictClause(row *xorRow) *clause {
-	lits := make([]cnf.Lit, 0, len(row.vars))
-	for _, u := range row.vars {
+// xorConflictClause materializes a violated row as a clause in the
+// conflict scratch buffer: one literal per row variable, each false under
+// the current assignment.
+func (s *Solver) xorConflictClause(vars []int32) cref {
+	lits := s.xorConfl[:0]
+	for _, u := range vars {
 		lits = append(lits, cnf.MkLit(int(u), s.assigns[u] == lTrue))
 	}
-	return &clause{lits: lits}
+	s.xorConfl = lits
+	return crefXorConfl
 }
 
-// xorReasonClause materializes the reason for an XOR-implied variable v:
-// the implied literal (true under the current assignment) first, then the
-// falsified antecedent literals — the shape analyze, minimization, and
-// analyzeFinal expect from CNF reasons. Synthesized reasons never enter
-// the clause database, so reduceDB and locked() are unaffected.
-func (s *Solver) xorReasonClause(v int, row *xorRow) *clause {
-	lits := make([]cnf.Lit, 0, len(row.vars))
-	lits = append(lits, cnf.MkLit(v, s.assigns[v] == lFalse))
-	for _, u := range row.vars {
+// xorReasonClause materializes the reason for an XOR-implied variable v in
+// the reason scratch buffer: the implied literal (true under the current
+// assignment) first, then the falsified antecedent literals — the shape
+// analyze, minimization, and analyzeFinal expect from CNF reasons. The
+// buffer holds one reason at a time, which is all they read at once.
+// Synthesized reasons never enter the clause database, so reduceDB and
+// lockedVar are unaffected.
+func (s *Solver) xorReasonClause(v int, vars []int32) cref {
+	lits := append(s.xorReason[:0], cnf.MkLit(v, s.assigns[v] == lFalse))
+	for _, u := range vars {
 		if int(u) == v {
 			continue
 		}
 		lits = append(lits, cnf.MkLit(int(u), s.assigns[u] == lTrue))
 	}
-	return &clause{lits: lits}
+	s.xorReason = lits
+	return crefXorReason
 }
 
 // reasonFor returns the reason clause of an assigned variable: the stored
-// CNF reason, a lazily materialized XOR reason, or nil for decisions and
-// top-level facts.
-func (s *Solver) reasonFor(v int) *clause {
-	if r := s.reason[v]; r != nil {
+// CNF reason, a lazily materialized XOR reason, or crefNone for decisions
+// and top-level facts. A stored binary reason is first put in the order
+// the long-clause path would have left it, implied literal first.
+func (s *Solver) reasonFor(v int) cref {
+	if r := s.reason[v]; r != crefNone {
+		if s.size(r) == 2 && s.ca[r+1].Var() != v {
+			s.ca[r+1], s.ca[r+2] = s.ca[r+2], s.ca[r+1]
+		}
 		return r
 	}
 	if ri := s.reasonX[v]; ri != 0 {
-		return s.xorReasonClause(v, s.xorRows[ri-1])
+		row := s.xorRows[ri-1]
+		return s.xorReasonClause(v, s.xorVars[row.start:row.end])
 	}
-	return nil
+	return crefNone
 }
